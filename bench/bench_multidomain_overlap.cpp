@@ -2,21 +2,25 @@
 // concurrent multi-domain executor, next to the step model's prediction.
 //
 // For each decomposition the same mountain-wave + warm-rain case runs
-// through MultiDomainRunner in its three execution modes:
+// through MultiDomainRunner in its three overlap modes. Every mode runs
+// the ranks concurrently on per-rank worker threads with the same
+// threads per rank, exchanging halos through async double-buffered
+// channels; the modes differ only in when halo work happens:
 //
-//   none      — lockstep reference: ranks advance serially inside one
-//               shared thread pool, halos are bulk-copied at barriers;
-//   split     — per-rank worker threads, async double-buffered halo
-//               channels, halo-consuming kernels divided into boundary
-//               frame + interior (paper method 2);
-//   pipeline  — additionally defers tracer halo receives behind the
-//               next tracer's advection (method 1) and fuses the
-//               density / potential-temperature updates (method 3).
+//   none      — the unsplit control: each exchange blocks where the
+//               single-domain run applies its lateral BC;
+//   split     — halo-consuming kernels divided into boundary frame +
+//               interior (paper method 2) and the density / potential-
+//               temperature updates fused (method 3);
+//   pipeline  — additionally overlaps the stage-opening exchange with
+//               the slow tendencies and defers tracer halo receives
+//               behind the tracer advection (method 1).
 //
 // All three produce bitwise-identical states (tests/test_multidomain_
-// overlap.cpp); this bench measures what the reordering buys in wall
-// time and compares the gain against the StepModel prediction for the
-// same decomposition. Results go to BENCH_multidomain_overlap.json.
+// overlap.cpp), so the none -> split -> pipeline gaps measure the
+// overlap methods themselves, not rank parallelism. The bench compares
+// them against the StepModel prediction for the same decomposition.
+// Results go to BENCH_multidomain_overlap.json.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -76,14 +80,11 @@ struct ModeResult {
     double modeled_s = 0;  ///< StepModel long-step prediction (GPU cluster)
 };
 
-/// Measure every runner mode on one decomposition with the same total
-/// thread count: the lockstep reference gets the threads as one shared
-/// pool (its best configuration — every kernel's parallel_for spans
-/// the machine), the concurrent modes split them into rank workers
-/// with total/ranks threads inside each rank. The modes are timed in
-/// interleaved repetitions and each reports its best window, so a slow
-/// patch of background load on a shared host cannot penalize one mode
-/// wholesale.
+/// Measure every runner mode on one decomposition with the same thread
+/// budget: total/ranks threads inside each rank's pool, for every mode.
+/// The modes are timed in interleaved repetitions and each reports its
+/// best window, so a slow patch of background load on a shared host
+/// cannot penalize one mode wholesale.
 std::vector<ModeResult> run_modes(const GridSpec& spec,
                                   const State<double>& initial, Index px,
                                   Index py, std::size_t total_threads,
@@ -107,19 +108,16 @@ std::vector<ModeResult> run_modes(const GridSpec& spec,
         runners.back()->scatter(initial);
         ModeResult r;
         r.mode = mode;
-        r.threads_per_rank =
-            mode == OverlapMode::None ? total_threads : per_rank;
+        r.threads_per_rank = per_rank;
         r.seconds_per_step = 0;
         results.push_back(r);
     }
 
+    // Rank workers carry all the parallelism; the global pool must not
+    // oversubscribe the machine underneath them.
+    ThreadPool::set_global_threads(1);
     for (int rep = 0; rep < reps; ++rep) {
         for (std::size_t m = 0; m < results.size(); ++m) {
-            // Rank workers carry the concurrent modes' parallelism; the
-            // global pool must not oversubscribe the machine underneath
-            // them.
-            ThreadPool::set_global_threads(
-                modes[m] == OverlapMode::None ? total_threads : 1);
             if (rep == 0) runners[m]->step();  // warm-up: cold memory
             Timer t;
             t.start();
@@ -151,7 +149,7 @@ double modeled_step_seconds(Index px, Index py, OverlapMode mode) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    title("Multi-domain overlap — lockstep vs concurrent executor");
+    title("Multi-domain overlap — unsplit control vs overlap methods");
 
     Int3 mesh{64, 48, 32};
     int steps = 2;
@@ -185,12 +183,13 @@ int main(int argc, char** argv) {
         Index px, py;
     };
     std::vector<Decomp> decomps = {{2, 2}, {4, 2}};
+    const Index split_min = min_local_extent(OverlapMode::Split, spec.halo);
     decomps.erase(std::remove_if(decomps.begin(), decomps.end(),
                                  [&](const Decomp& d) {
                                      return mesh.x % d.px != 0 ||
                                             mesh.y % d.py != 0 ||
-                                            mesh.x / d.px < 6 ||
-                                            mesh.y / d.py < 6;
+                                            mesh.x / d.px < split_min ||
+                                            mesh.y / d.py < split_min;
                                  }),
                   decomps.end());
 
@@ -248,7 +247,9 @@ int main(int argc, char** argv) {
                                   io::JsonValue(mesh.y),
                                   io::JsonValue(mesh.z)});
     doc.set("timed_steps", steps);
+    doc.set("reps", reps);
     doc.set("hardware_threads", static_cast<long long>(hw));
+    doc.set("host", host_info());
     io::JsonArray ds;
     for (const auto& dr : all) {
         io::JsonValue row;

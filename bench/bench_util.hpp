@@ -5,7 +5,9 @@
 #pragma once
 
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "src/common/timer.hpp"
 #include "src/core/model.hpp"
@@ -14,6 +16,32 @@
 #include "src/io/json.hpp"
 
 namespace asuca::bench {
+
+/// The measuring host: hardware threads, CPU model and compiler, so a
+/// committed BENCH_*.json says where its numbers came from.
+inline io::JsonValue host_info() {
+    std::string cpu = "unknown";
+    std::ifstream info("/proc/cpuinfo");
+    for (std::string line; std::getline(info, line);) {
+        if (line.rfind("model name", 0) == 0) {
+            const auto colon = line.find(':');
+            if (colon != std::string::npos) {
+                cpu = line.substr(line.find_first_not_of(' ', colon + 1));
+            }
+            break;
+        }
+    }
+    io::JsonValue h;
+    h.set("hardware_threads",
+          static_cast<long long>(std::thread::hardware_concurrency()));
+    h.set("cpu", cpu);
+#if defined(__GNUC__) && !defined(__clang__)
+    h.set("compiler", "gcc " __VERSION__);
+#else
+    h.set("compiler", __VERSION__);  // clang's string names itself
+#endif
+    return h;
+}
 
 /// One-step per-kernel FLOP counts of the benchmark configuration
 /// (mountain wave + warm rain, Sec. IV-B), calibrated once per binary.

@@ -7,9 +7,10 @@
 //                             [--deadline-ms=N] [--overlap=MODE]
 //                             [--trace=FILE.json] [--metrics=FILE.json]
 //
-// --overlap selects the decomposed executor: none (lockstep reference),
-// split (rank-concurrent kernel division + fusion) or pipeline
-// (+ inter-variable tracer pipelining). --trace writes a Chrome
+// --overlap selects when the rank-concurrent runner does its halo work:
+// none (unsplit kernels, the control), split (boundary/interior kernel
+// division + density/theta fusion) or pipeline (+ inter-variable tracer
+// pipelining); every mode computes the same bits. --trace writes a Chrome
 // trace-event JSON of the run (load it at https://ui.perfetto.dev) with
 // per-rank step/halo spans; --metrics writes per-step counter snapshots.
 //
@@ -78,7 +79,7 @@ int main(int argc, char** argv) {
     t_single.stop();
 
     // Decomposed run from the same initial state. With a fault requested,
-    // run the concurrent executor under the resilience policy.
+    // run it under the resilience policy.
     cluster::MultiDomainConfig md;
     if (overlap == "split") {
         md.overlap = cluster::OverlapMode::Split;
@@ -91,9 +92,6 @@ int main(int argc, char** argv) {
     }
     if (!fault.empty()) {
         using resilience::FaultKind;
-        if (md.overlap == cluster::OverlapMode::None) {
-            md.overlap = cluster::OverlapMode::Split;
-        }
         md.resilience.enabled = true;
         md.resilience.checkpoint_interval = 1;
         md.resilience.halo_deadline =

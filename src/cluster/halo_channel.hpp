@@ -1,8 +1,8 @@
 // Asynchronous halo channels for the concurrent multi-domain runner.
 //
-// The lockstep MultiDomainRunner fills halos by directly reading neighbor
-// rank arrays while NO rank is computing — a global synchronous barrier
-// at every exchange point. Here each (receiving rank, side) pair gets its
+// A single domain fills its halos with the periodic lateral BC. A
+// decomposed run cannot read its neighbors' arrays while they compute,
+// so each (receiving rank, side) pair gets its
 // own HaloChannel: a single-producer single-consumer, double-buffered
 // message queue. The producing rank PACKS its boundary strip into a slot
 // and POSTS it with a release-store; the consuming rank waits for the
@@ -11,7 +11,7 @@
 // of a slow consumer before blocking — the in-process analog of the
 // paper's posted MPI sends overlapping GPU compute (Sec. V-A).
 //
-// Strip geometry reproduces the lockstep exchange exactly:
+// Strip geometry reproduces the single-domain periodic fill exactly:
 //   x pass  — strips cover interior rows j in [0, ny_field) and the full
 //             padded k range; the west halo receives the west neighbor's
 //             easternmost interior columns, the east halo (plus the
@@ -22,8 +22,8 @@
 //             the single-domain periodic fill) and rows [0, h + sy) /
 //             [ny - h, ny) of the producer.
 // Because both passes copy the same cells from the same source cells as
-// the lockstep code, a channel-exchanged run is bitwise identical to a
-// lockstep run (validated in tests/test_multidomain_overlap.cpp).
+// the periodic fill, a channel-exchanged run is bitwise identical to the
+// single-domain run (validated in tests/test_multidomain_overlap.cpp).
 //
 // Failure detection (the resilience subsystem): a channel can be
 // GUARDED, which changes the infinite futex waits into deadline-bounded
@@ -201,11 +201,13 @@ class HaloChannel {
         };
         if (guarded_) {
             const bool ok = guarded_wait([&] { return poisoned() || have_slot(); });
-            if (poisoned()) throw_fault(HaloFault::Poisoned, owner_rank_);
+            if (poisoned()) {
+                throw_fault(HaloFault::Poisoned, owner_rank_, next_post_);
+            }
             if (!ok) {
                 // Backpressure timeout: the consumer (the owner of this
                 // channel) stopped draining.
-                throw_fault(HaloFault::Timeout, owner_rank_);
+                throw_fault(HaloFault::Timeout, owner_rank_, next_post_);
             }
         } else {
             backoff_wait(consumed_,
@@ -266,15 +268,17 @@ class HaloChannel {
         };
         if (guarded_) {
             const bool ok = guarded_wait([&] { return poisoned() || have_msg(); });
-            if (poisoned()) throw_fault(HaloFault::Poisoned, peer_rank_);
+            if (poisoned()) {
+                throw_fault(HaloFault::Poisoned, peer_rank_, next_receive_);
+            }
             if (!ok) {
                 // The producer (peer) missed its deadline.
-                throw_fault(HaloFault::Timeout, peer_rank_);
+                throw_fault(HaloFault::Timeout, peer_rank_, next_receive_);
             }
             const auto& slot = slots_[next_receive_ % kSlots];
             if (guard_.integrity &&
                 meta_seq_[next_receive_ % kSlots] != next_receive_) {
-                throw_fault(HaloFault::Corrupt, peer_rank_);
+                throw_fault(HaloFault::Corrupt, peer_rank_, next_receive_);
             }
             return slot;
         }
@@ -295,7 +299,7 @@ class HaloChannel {
             words.add(slots_[next_receive_ % kSlots].size());
         }
         if (meta_sum_[next_receive_ % kSlots] != sum) {
-            throw_fault(HaloFault::Corrupt, peer_rank_);
+            throw_fault(HaloFault::Corrupt, peer_rank_, next_receive_);
         }
     }
 
@@ -367,11 +371,11 @@ class HaloChannel {
         std::memcpy(&v, bytes, sizeof(T));
     }
 
-    [[noreturn]] void throw_fault(HaloFault fault, Index suspect) const {
-        const std::uint64_t seq =
-            fault == HaloFault::Timeout && suspect == owner_rank_
-                ? next_post_
-                : next_receive_;
+    /// `seq` is the calling side's own sequence counter (next_post_ on
+    /// the producer, next_receive_ on the consumer): reading the other
+    /// side's counter would race with that side's thread.
+    [[noreturn]] void throw_fault(HaloFault fault, Index suspect,
+                                  std::uint64_t seq) const {
         std::string what = std::string("halo channel ") +
                            halo_fault_name(fault) + ": rank " +
                            std::to_string(owner_rank_) + " " +
@@ -495,8 +499,8 @@ class HaloExchanger {
     }
 
     /// Pack and post both y-direction strips (full padded i range — the
-    /// x halos of `a` must already be received, mirroring the lockstep
-    /// x-then-y ordering that resolves the corners).
+    /// x halos of `a` must already be received, mirroring the periodic
+    /// fill's x-then-y ordering that resolves the corners).
     void post_y(Index r, const Array3<T>& a) {
         obs::TraceSpan span("halo_pack_y", r, "halo");
         const Index h = a.halo();

@@ -2,45 +2,48 @@
 // numerical counterpart of the paper's 2-D MPI decomposition (Sec. V).
 //
 // The global domain is split px x py; each "rank" owns its own Grid,
-// State and TimeStepper machinery. Two executors share that layout:
+// State and TimeStepper. Every rank runs the whole long step on its own
+// TaskLayer worker (issuing its kernels against a private per-rank
+// ThreadPool via ThreadPool::ScopedOverride), and halos move through
+// per-neighbor double-buffered HaloChannels instead of barriers.
 //
-//   * OverlapMode::None — the reference LOCKSTEP path: one thread drives
-//     all ranks through exactly the stage/substep structure of
-//     TimeStepper::step(), replacing every lateral-BC halo fill by a
-//     direct strip copy from the neighboring rank while no rank computes
-//     (a global barrier at every exchange point).
+// The step itself is TimeStepper's one RK3/HE-VI stage program; the
+// runner supplies only a per-rank halo policy (ChannelHalos below) whose
+// fills are channel exchanges. The overlap mode selects when halo work
+// happens, never what is computed:
 //
-//   * OverlapMode::Split / SplitPipeline — the CONCURRENT executor: each
-//     rank runs the whole step program on its own TaskLayer worker
-//     (issuing its kernels against a private per-rank ThreadPool via
-//     ThreadPool::ScopedOverride), and halos move through per-neighbor
-//     double-buffered HaloChannels instead of barriers. Halo-consuming
-//     kernels split into boundary-strip and interior launches so the
-//     strips can be posted while the interior computes — the paper's
-//     Sec. V-A overlap method 2 — and the acoustic density/theta updates
-//     run logically fused (method 3). SplitPipeline adds method 1
-//     (inter-variable pipelining: tracer y-halo receives interleave with
-//     the per-tracer advection).
+//   * OverlapMode::None — unsplit kernels: each fill is a blocking
+//     exchange at the point the single-domain run applies its lateral
+//     BC. The control for the overlap methods below.
+//   * OverlapMode::Split — halo-consuming kernels split into
+//     boundary-strip and interior launches so the strips are posted
+//     while the interior computes (the paper's Sec. V-A method 2), and
+//     the acoustic density/theta updates run logically fused (method 3).
+//   * OverlapMode::SplitPipeline — adds method 1 (inter-variable
+//     pipelining: the stage-opening exchange overlaps the slow
+//     tendencies, tracer y-halo receives interleave with the per-tracer
+//     advection).
 //
 // Because the per-cell arithmetic is identical, the channel strips carry
-// exactly the cells the lockstep copies move, and every kernel split is
-// a disjoint partition of the same writes, ALL modes are bitwise
-// identical to each other and to the single-domain run (validated in
-// tests/test_multidomain.cpp and tests/test_multidomain_overlap.cpp) —
-// the decomposition analog of the paper's "GPU code agrees with the CPU
-// code within round-off".
+// exactly the cells the single-domain periodic fill copies, and every
+// kernel split is a disjoint partition of the same writes, ALL modes are
+// bitwise identical to each other and to the single-domain run
+// (validated in tests/test_multidomain.cpp and
+// tests/test_multidomain_overlap.cpp) — the decomposition analog of the
+// paper's "GPU code agrees with the CPU code within round-off".
 #pragma once
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <initializer_list>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -61,10 +64,18 @@ namespace asuca::cluster {
 
 /// How the concurrent executor hides halo exchanges behind compute.
 enum class OverlapMode {
-    None,          ///< lockstep reference path (serial, global barriers)
-    Split,         ///< rank-concurrent + kernel division (2) + fusion (3)
+    None,          ///< rank-concurrent, unsplit kernels (the control)
+    Split,         ///< + kernel division (method 2) + fusion (method 3)
     SplitPipeline  ///< + inter-variable tracer pipelining (method 1)
 };
+
+/// Smallest per-rank horizontal extent a mode can run with halo width
+/// `halo`: the channel strips copy `halo` interior columns/rows, and the
+/// split modes' boundary and interior launches need two disjoint
+/// halo-wide frames.
+constexpr Index min_local_extent(OverlapMode mode, Index halo) {
+    return mode == OverlapMode::None ? halo : 2 * halo;
+}
 
 /// A step failure the runner cannot repair by rollback-and-replay: an
 /// implicated rank died, missed its halo deadline, or a transient fault
@@ -114,8 +125,8 @@ struct ResilienceConfig {
 
 struct MultiDomainConfig {
     OverlapMode overlap = OverlapMode::None;
-    /// Threads in each rank's private ThreadPool (concurrent modes). 1
-    /// means the rank's j-slab loops run inline on its task thread.
+    /// Threads in each rank's private ThreadPool. 1 means the rank's
+    /// j-slab loops run inline on its task thread.
     std::size_t threads_per_rank = 1;
     ResilienceConfig resilience;
 };
@@ -140,7 +151,12 @@ class MultiDomainRunner {
                       "multi-domain runner implements periodic exchange");
         nxl_ = global.nx / px;
         nyl_ = global.ny / py;
-        // Both overlap modes enable the paper's method-3 fusion inside
+        const Index need = min_local_extent(mdcfg_.overlap, global.halo);
+        ASUCA_REQUIRE(nxl_ >= need && nyl_ >= need,
+                      "overlap mode needs local extents >= "
+                          << need << " (halo " << global.halo << "), got "
+                          << nxl_ << "x" << nyl_);
+        // Both split modes enable the paper's method-3 fusion inside
         // the acoustic implicit phase (bitwise identical either way):
         // fusion is a property of the rewritten acoustic step, not of
         // the inter-variable pipelining that SplitPipeline adds on top.
@@ -155,20 +171,13 @@ class MultiDomainRunner {
                     make_local_spec(rx, ry), species_, rank_cfg));
             }
         }
-        if (mdcfg_.overlap != OverlapMode::None) {
-            const Index h = ranks_.front()->grid.halo();
-            ASUCA_REQUIRE(nxl_ >= 2 * h && nyl_ >= 2 * h,
-                          "overlap modes need local extents >= 2*halo, got "
-                              << nxl_ << "x" << nyl_);
-            tasks_ = std::make_unique<TaskLayer>(
-                static_cast<std::size_t>(rank_count()));
-            exchanger_ = std::make_unique<HaloExchanger<T>>(px_, py_, nxl_,
-                                                            nyl_);
-            pools_.reserve(static_cast<std::size_t>(rank_count()));
-            for (Index r = 0; r < rank_count(); ++r) {
-                pools_.push_back(std::make_unique<ThreadPool>(
-                    std::max<std::size_t>(1, mdcfg_.threads_per_rank)));
-            }
+        tasks_ = std::make_unique<TaskLayer>(
+            static_cast<std::size_t>(rank_count()));
+        exchanger_ = std::make_unique<HaloExchanger<T>>(px_, py_, nxl_, nyl_);
+        pools_.reserve(static_cast<std::size_t>(rank_count()));
+        for (Index r = 0; r < rank_count(); ++r) {
+            pools_.push_back(std::make_unique<ThreadPool>(
+                std::max<std::size_t>(1, mdcfg_.threads_per_rank)));
         }
         // ASUCA_FORCE_GUARDED=1 flips guarding on for runners that did
         // not opt in — the CI lever that runs the whole tier-1 matrix
@@ -188,29 +197,15 @@ class MultiDomainRunner {
                           "bad resilience config");
             injector_ = resilience::FaultInjector(rc.faults);
             watchdog_ = resilience::Watchdog<T>(rc.watchdog);
-            if (mdcfg_.overlap == OverlapMode::None) {
-                // The lockstep executor has no channels and no rank
-                // workers: only field faults are meaningful there.
-                using resilience::FaultKind;
-                for (const auto& f : rc.faults) {
-                    ASUCA_REQUIRE(f.kind == FaultKind::FieldNaN ||
-                                      f.kind == FaultKind::FieldInf ||
-                                      f.kind == FaultKind::FieldBitFlip,
-                                  "halo/rank faults need a concurrent "
-                                  "overlap mode");
-                }
-            } else {
-                exchanger_->enable_guard(
-                    ChannelGuard{rc.halo_deadline, rc.halo_integrity});
-            }
-            // Rollback snapshots copy from the stage workspaces: bitwise
-            // equal to the committed states at every commit point and
-            // not overwritten until deep into the next step (the async
-            // overlap window). See snapshot.hpp.
+            exchanger_->enable_guard(
+                ChannelGuard{rc.halo_deadline, rc.halo_integrity});
+            // Rollback snapshots copy from the rank states between steps:
+            // each rank's next write into its state (the step-start halo
+            // fill, or an injected field fault) waits at a barrier for
+            // that rank's copy. See snapshot.hpp.
             snap_.configure(rank_count(),
                             [this](Index r) -> const State<T>& {
-                                return ranks_[size_t(r)]->stepper
-                                    .stage_workspace();
+                                return rank_state(r);
                             },
                             rc.incremental_snapshots);
         }
@@ -246,19 +241,6 @@ class MultiDomainRunner {
     using StepHooks = obs::StepHooks<MultiDomainRunner&>;
     StepHooks& step_hooks() { return step_hooks_; }
 
-    /// Legacy single-observer shim over step_hooks(): set replaces this
-    /// shim's own subscription, nullptr detaches it. Other subscribers
-    /// are unaffected.
-    using StepObserver = std::function<void(MultiDomainRunner&)>;
-    [[deprecated("use step_hooks().add()/remove()")]]
-    void set_step_observer(StepObserver observer) {
-        if (shim_handle_ != 0) {
-            step_hooks_.remove(shim_handle_);
-            shim_handle_ = 0;
-        }
-        if (observer) shim_handle_ = step_hooks_.add(std::move(observer));
-    }
-
     /// Copy the interiors of a global state into the rank states and
     /// perform the initial exchange.
     void scatter(const State<T>& global_state) {
@@ -280,7 +262,9 @@ class MultiDomainRunner {
                             0, 0);
             }
         }
-        exchange_states();
+        run_ranks([&](Index r) {
+            pipelined_exchange(r, exchange_field_list(rank_state(r)));
+        });
         // The rank states were just replaced wholesale: any existing
         // rollback point (and the once-copied reference fields) is stale.
         if (snap_.configured()) snap_.invalidate();
@@ -333,9 +317,8 @@ class MultiDomainRunner {
             mass_init_ = true;
         }
         if (!snap_.valid()) {
-            // First rollback point: synchronous, from the rank states
-            // (the async copy source — the stage workspaces — is not
-            // initialized before the first step runs).
+            // First rollback point: synchronous (no step has run yet
+            // whose gap an async round could overlap).
             snap_.capture_sync(
                 [this](Index r) -> const State<T>& { return rank_state(r); },
                 step_index_, mass_baseline_);
@@ -344,9 +327,8 @@ class MultiDomainRunner {
         int retries = 0;
         while (step_index_ < target) {
             try {
-                // A snapshot round launched at the previous commit runs
-                // concurrently with this step's compute (completed by
-                // the rank-side barriers / the finish below).
+                // A snapshot round launched after the previous step runs
+                // until each rank's barrier before its first write.
                 step_impl();
             } catch (...) {
                 FailureVerdict v = classify_failure();
@@ -366,16 +348,25 @@ class MultiDomainRunner {
                 rollback(v.what);
                 continue;
             }
-            snap_.finish();
-            // Injected field corruption models a bad write DURING the
-            // step: it lands before the health scan, so detection and
-            // recovery exercise exactly the real-fault path. (It lands
-            // in the rank STATES; the just-promoted snapshot copied the
-            // workspaces beforehand, so the rollback point stays clean
-            // even when a sampled watchdog detects the fault late.)
+            snap_.finish(mass_baseline_);
+            // The next rollback point is copied from the step's result
+            // BEFORE the injected faults and the health scan, and only
+            // promoted once this step commits. Injected field corruption
+            // models a bad write DURING the step: it lands before the
+            // health scan (waiting for the rank's copy first, like any
+            // write into a rank state), so detection and recovery
+            // exercise exactly the real-fault path, and the rollback
+            // point stays clean even when a sampled watchdog detects
+            // the fault a step late.
+            const bool snap_due =
+                step_index_ + 1 - snap_.step() >= rc.checkpoint_interval;
+            if (snap_due) snap_.launch(step_index_ + 1);
             injector_.apply_field_faults(
                 step_index_, rank_count(),
-                [&](Index r) -> State<T>& { return rank_state(r); },
+                [&](Index r) -> State<T>& {
+                    snap_.barrier(r);
+                    return rank_state(r);
+                },
                 &recovery_log_);
             resilience::HealthReport report;
             const bool scan_now = watchdog_.scan_due(step_index_);
@@ -388,6 +379,7 @@ class MultiDomainRunner {
                                      report);
             }
             if (!report.healthy()) {
+                snap_.discard();
                 obs::trace_instant("watchdog_unhealthy",
                                    report.findings.front().rank,
                                    "resilience");
@@ -418,13 +410,10 @@ class MultiDomainRunner {
             retries = 0;
             record_step_metrics();
             step_hooks_.notify(*this);
-            if (step_index_ - snap_.step() >= rc.checkpoint_interval) {
-                snap_.launch(step_index_, mass_baseline_);
-            }
         }
-        // Complete the round launched at the final commit so no copy is
+        // Complete the round launched after the final step so no copy is
         // in flight across the advance() boundary.
-        snap_.finish();
+        snap_.finish(mass_baseline_);
     }
 
     /// Roll back to the most recent committed rollback snapshot —
@@ -489,7 +478,6 @@ class MultiDomainRunner {
         TimeStepper<T> stepper;
     };
 
-    static constexpr double kStageFraction[3] = {1.0 / 3.0, 0.5, 1.0};
     /// Exchanged state fields in canonical order: the six dynamic fields
     /// first, then the tracers. Channel message streams rely on every
     /// rank issuing posts/receives in this same order.
@@ -502,138 +490,67 @@ class MultiDomainRunner {
         return fs;
     }
 
-    /// Dispatch one long step to the configured executor.
+    /// Run `program(r)` for every rank concurrently, each rank on its
+    /// TaskLayer worker with its j-slab kernels routed to its private
+    /// pool (inline when single-threaded) — the process pool's
+    /// run_region supports only one caller at a time.
+    template <class Program>
+    void run_ranks(Program&& program) {
+        tasks_->run([&](std::size_t ri) {
+            ThreadPool::ScopedOverride pool_guard(*pools_[ri]);
+            program(static_cast<Index>(ri));
+        });
+    }
+
+    /// The halo policy of rank r for TimeStepper's stage program: every
+    /// fill is a channel exchange with the neighbor ranks. Every rank
+    /// runs the same program, so each SPSC channel sees an identical
+    /// message sequence on both ends and the bounded (<= 2 in flight)
+    /// post/recv schedules can never deadlock: each post waits only on
+    /// a receive that occurs strictly earlier in the shared program
+    /// order.
+    struct ChannelHalos {
+        MultiDomainRunner& md;
+        Index r;
+
+        /// The step-start fill is the rank's first write into its
+        /// state: an in-flight snapshot round must copy this rank first.
+        void before_first_write(State<T>&) { md.snap_.barrier(r); }
+
+        void fill(State<T>& s) {
+            md.pipelined_exchange(r, exchange_field_list(s));
+        }
+
+        void open_stage(State<T>& bar, Tendencies<T>& slow) {
+            if (md.mdcfg_.overlap == OverlapMode::SplitPipeline) {
+                md.combined_exchange_and_tendencies(r, bar, slow);
+            } else {
+                fill(bar);
+                md.ranks_[size_t(r)]->stepper.compute_slow_tendencies(bar,
+                                                                      slow);
+            }
+        }
+
+        void substep(AcousticStepper<T>& ac, const Tendencies<T>& slow,
+                     double dtau) {
+            if (md.mdcfg_.overlap == OverlapMode::None) {
+                ac.substep(slow, dtau,
+                           [&](typename AcousticStepper<T>::HaloFields fs) {
+                               md.pipelined_exchange(r, fs);
+                           });
+            } else {
+                md.acoustic_substep_split(r, ac, slow, dtau);
+            }
+        }
+    };
+
+    /// One long step on every rank, concurrently.
     void step_impl() {
         obs::TraceSpan span("md_long_step", "phase");
-        if (mdcfg_.overlap == OverlapMode::None) {
-            step_lockstep();
-        } else {
-            step_concurrent();
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Lockstep reference executor (OverlapMode::None).
-    // ------------------------------------------------------------------
-
-    /// Mirrors TimeStepper::step() with exchanges at every halo-fill
-    /// point, all ranks advanced by one serial driver.
-    void step_lockstep() {
-        exchange_states();
-        for (auto& rk : ranks_) {
-            rk->stepper.step_start_state() = rk->state;
-        }
-        std::vector<State<T>*> bar(static_cast<std::size_t>(rank_count()),
-                                   nullptr);
-        for (Index r = 0; r < rank_count(); ++r) {
-            bar[size_t(r)] = &ranks_[size_t(r)]->state;
-        }
-        for (int stage = 0; stage < 3; ++stage) {
-            const double dt_s = cfg_.dt * kStageFraction[stage];
-            const int ns = std::max(
-                1, static_cast<int>(std::lround(cfg_.n_short_steps *
-                                                kStageFraction[stage])));
-            const double dtau = dt_s / ns;
-            for (Index r = 0; r < rank_count(); ++r) {
-                auto& rk = *ranks_[size_t(r)];
-                rk.stepper.compute_slow_tendencies(
-                    *bar[size_t(r)], rk.stepper.slow_tendencies());
-                rk.stepper.acoustic().prepare(*bar[size_t(r)]);
-                rk.stepper.acoustic().init_deviations(
-                    rk.stepper.step_start_state(), *bar[size_t(r)]);
-            }
-            for (int n = 0; n < ns; ++n) {
-                for (auto& rk : ranks_) {
-                    rk->stepper.acoustic().phase_theta_half(
-                        rk->stepper.slow_tendencies(), dtau);
-                }
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().dp_half();
-                });
-                for (auto& rk : ranks_) {
-                    rk->stepper.acoustic().phase_horizontal_momentum(
-                        rk->stepper.slow_tendencies(), dtau);
-                }
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().du();
-                });
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().dv();
-                });
-                for (auto& rk : ranks_) {
-                    rk->stepper.acoustic().phase_bottom_kinematic();
-                    rk->stepper.acoustic().phase_vertical_implicit(
-                        rk->stepper.slow_tendencies(), dtau);
-                }
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().dw();
-                });
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().drho();
-                });
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().dth();
-                });
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().dp();
-                });
-            }
-            for (Index r = 0; r < rank_count(); ++r) {
-                auto& rk = *ranks_[size_t(r)];
-                // First workspace write of the step: an in-flight
-                // snapshot round must copy this rank first.
-                if (stage == 0) snap_.barrier(r);
-                rk.stepper.stage_workspace() = *bar[size_t(r)];
-                rk.stepper.acoustic().finalize(*bar[size_t(r)],
-                                               rk.stepper.stage_workspace());
-                rk.stepper.update_stage_tracers(dt_s);
-                bar[size_t(r)] = &rk.stepper.stage_workspace();
-            }
-            exchange_workspaces();
-        }
-        for (Index r = 0; r < rank_count(); ++r) {
-            ranks_[size_t(r)]->state = ranks_[size_t(r)]->stepper
-                                           .stage_workspace();
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Concurrent executor (OverlapMode::Split / SplitPipeline).
-    // ------------------------------------------------------------------
-
-    void step_concurrent() {
-        const bool pipeline =
-            (mdcfg_.overlap == OverlapMode::SplitPipeline);
-        tasks_->run([&](std::size_t ri) {
-            // Route this rank's j-slab kernels to its private pool (inline
-            // when single-threaded) — the process pool's run_region
-            // supports only one caller at a time.
-            ThreadPool::ScopedOverride pool_guard(*pools_[ri]);
-            const Index r = static_cast<Index>(ri);
+        run_ranks([&](Index r) {
             try {
-                if (injector_.enabled()) {
-                    const auto stall = injector_.stall(r, step_index_);
-                    if (stall.count() > 0) {
-                        obs::trace_instant("fault_stall", r, "resilience");
-                        std::this_thread::sleep_for(stall);
-                    }
-                    if (injector_.kill(r, step_index_)) {
-                        obs::trace_instant("fault_kill", r, "resilience");
-                        throw resilience::InjectedFaultError(r, step_index_);
-                    }
-                    if (injector_.arm_halo_corrupt(r, step_index_)) {
-                        obs::trace_instant("fault_halo_corrupt", r,
-                                           "resilience");
-                        exchanger_->arm_corrupt(r);
-                    }
-                    const auto delay = injector_.halo_delay(r, step_index_);
-                    if (delay.count() > 0) {
-                        obs::trace_instant("fault_halo_delay", r,
-                                           "resilience");
-                        exchanger_->arm_delay(r, delay);
-                    }
-                }
-                rank_step_program(r, pipeline);
+                if (injector_.enabled()) inject_rank_faults(r);
+                rank_step_program(r);
             } catch (...) {
                 // Any rank failure poisons every channel so no peer stays
                 // blocked on a message that will never come: each rank
@@ -644,68 +561,38 @@ class MultiDomainRunner {
         });
     }
 
-    /// The whole long step from one rank's point of view. Every rank runs
-    /// this same program, so each SPSC channel sees an identical message
-    /// sequence on both ends and the bounded (<= 2 in flight) post/recv
-    /// schedules below can never deadlock: each post waits only on a
-    /// receive that occurs strictly earlier in the shared program order.
-    void rank_step_program(Index r, bool pipeline) {
+    /// Fire the rank-thread faults planned for rank r at this step.
+    void inject_rank_faults(Index r) {
+        const auto stall = injector_.stall(r, step_index_);
+        if (stall.count() > 0) {
+            obs::trace_instant("fault_stall", r, "resilience");
+            std::this_thread::sleep_for(stall);
+        }
+        if (injector_.kill(r, step_index_)) {
+            obs::trace_instant("fault_kill", r, "resilience");
+            throw resilience::InjectedFaultError(r, step_index_);
+        }
+        if (injector_.arm_halo_corrupt(r, step_index_)) {
+            obs::trace_instant("fault_halo_corrupt", r, "resilience");
+            exchanger_->arm_corrupt(r);
+        }
+        const auto delay = injector_.halo_delay(r, step_index_);
+        if (delay.count() > 0) {
+            obs::trace_instant("fault_halo_delay", r, "resilience");
+            exchanger_->arm_delay(r, delay);
+        }
+    }
+
+    /// The whole long step from one rank's point of view: the stepper's
+    /// stage program with this rank's channel policy.
+    void rank_step_program(Index r) {
         if (obs::trace_enabled()) {
             obs::name_this_thread("rank " + std::to_string(r) + " worker");
         }
         obs::TraceSpan program_span("rank_step", r, "phase");
         Rank& rk = *ranks_[size_t(r)];
-        TimeStepper<T>& st = rk.stepper;
-        AcousticStepper<T>& ac = st.acoustic();
-        Tendencies<T>& slow = st.slow_tendencies();
-
-        if (!pipeline) {
-            pipelined_exchange(r, exchange_field_list(rk.state));
-            st.step_start_state() = rk.state;
-        }
-        State<T>* bar = &rk.state;
-        for (int stage = 0; stage < 3; ++stage) {
-            const double dt_s = cfg_.dt * kStageFraction[stage];
-            const int ns = std::max(
-                1, static_cast<int>(std::lround(cfg_.n_short_steps *
-                                                kStageFraction[stage])));
-            const double dtau = dt_s / ns;
-            if (pipeline) {
-                // The bar exchange (step-start state for stage 0, the
-                // deferred previous-stage workspace otherwise) overlaps
-                // the slow-tendency computation.
-                combined_exchange_and_tendencies(r, *bar, slow);
-                // The step-start state snapshot: taken after all strips
-                // landed, matching the lockstep copy exactly (the
-                // tendencies read bar without modifying it).
-                if (stage == 0) st.step_start_state() = rk.state;
-            } else {
-                st.compute_slow_tendencies(*bar, slow);
-            }
-            ac.prepare(*bar);
-            ac.init_deviations(st.step_start_state(), *bar);
-            for (int n = 0; n < ns; ++n) {
-                acoustic_substep_split(r, dtau);
-            }
-            // First workspace write of the step (stage 0): an in-flight
-            // snapshot round must copy this rank's workspace first. By
-            // here the whole stage-0 acoustic ladder has overlapped the
-            // background copy.
-            if (stage == 0) snap_.barrier(r);
-            st.stage_workspace() = *bar;
-            ac.finalize(*bar, st.stage_workspace());
-            st.update_stage_tracers(dt_s);
-            bar = &st.stage_workspace();
-            if (!pipeline) {
-                pipelined_exchange(r, exchange_field_list(*bar));
-            } else if (stage == 2) {
-                // Stages 0-1 defer the workspace exchange into the next
-                // stage's combined block; the final one must complete
-                // before the workspace becomes the step result.
-                pipelined_exchange(r, exchange_field_list(*bar));
-            }
-        }
-        rk.state = st.stage_workspace();
+        ChannelHalos halos{*this, r};
+        rk.stepper.step(rk.state, halos);
     }
 
     /// Generic pipelined exchange of a field group: x posts run one field
@@ -713,7 +600,7 @@ class MultiDomainRunner {
     /// receives, so every channel holds at most 2 in-flight messages
     /// (its slot count) while pack/unpack of different fields overlap
     /// across ranks.
-    void pipelined_exchange(Index r, const std::vector<Array3<T>*>& fs) {
+    void pipelined_exchange(Index r, std::span<Array3<T>* const> fs) {
         const std::size_t m = fs.size();
         if (m == 0) return;
         exchanger_->post_x(r, *fs[0]);
@@ -724,6 +611,10 @@ class MultiDomainRunner {
             if (f >= 1) exchanger_->recv_y(r, *fs[f - 1]);
         }
         exchanger_->recv_y(r, *fs[m - 1]);
+    }
+    void pipelined_exchange(Index r, std::initializer_list<Array3<T>*> fs) {
+        pipelined_exchange(r, std::span<Array3<T>* const>(fs.begin(),
+                                                          fs.size()));
     }
 
     /// SplitPipeline stage opening: exchange all of bar's fields AND
@@ -779,12 +670,11 @@ class MultiDomainRunner {
     /// dp_half's strips are computed and posted before its interior, the
     /// x-momentum update (which reads no y halos) and all but one row of
     /// the y-momentum update run while dp_half's y strips are in flight.
-    void acoustic_substep_split(Index r, double dtau) {
-        Rank& rk = *ranks_[size_t(r)];
-        AcousticStepper<T>& ac = rk.stepper.acoustic();
-        Tendencies<T>& slow = rk.stepper.slow_tendencies();
-        const Index nx = rk.grid.nx(), ny = rk.grid.ny();
-        const Index h = rk.grid.halo();
+    void acoustic_substep_split(Index r, AcousticStepper<T>& ac,
+                                const Tendencies<T>& slow, double dtau) {
+        const Grid<T>& grid = ranks_[size_t(r)]->grid;
+        const Index nx = grid.nx(), ny = grid.ny();
+        const Index h = grid.halo();
 
         // Phase 1 boundary frame first — exactly the cells the dp_half
         // channels carry.
@@ -845,31 +735,22 @@ class MultiDomainRunner {
     }
 
     /// Watchdog scan of every rank, sampled/parallel per watchdog.hpp.
-    /// In the concurrent modes each rank scans itself on its own task
-    /// worker (against its private pool); findings merge in rank order,
-    /// so the report is deterministic regardless of scheduling.
+    /// Each rank scans itself on its own task worker (against its
+    /// private pool); findings merge in rank order, so the report is
+    /// deterministic regardless of scheduling.
     void scan_all_ranks(resilience::HealthReport& report) {
         obs::TraceSpan span("watchdog_scan", "resilience");
-        if (tasks_ != nullptr) {
-            std::vector<resilience::HealthReport> reports(
-                static_cast<std::size_t>(rank_count()));
-            tasks_->run([&](std::size_t ri) {
-                ThreadPool::ScopedOverride pool_guard(*pools_[ri]);
-                const Index r = static_cast<Index>(ri);
-                watchdog_.scan(rank_grid(r), rank_state(r), cfg_.dt, r,
-                               step_index_, reports[ri]);
-            });
-            for (auto& rr : reports) {
-                report.findings.insert(
-                    report.findings.end(),
-                    std::make_move_iterator(rr.findings.begin()),
-                    std::make_move_iterator(rr.findings.end()));
-            }
-        } else {
-            for (Index r = 0; r < rank_count(); ++r) {
-                watchdog_.scan(rank_grid(r), rank_state(r), cfg_.dt, r,
-                               step_index_, report);
-            }
+        std::vector<resilience::HealthReport> reports(
+            static_cast<std::size_t>(rank_count()));
+        run_ranks([&](Index r) {
+            watchdog_.scan(rank_grid(r), rank_state(r), cfg_.dt, r,
+                           step_index_, reports[size_t(r)]);
+        });
+        for (auto& rr : reports) {
+            report.findings.insert(
+                report.findings.end(),
+                std::make_move_iterator(rr.findings.begin()),
+                std::make_move_iterator(rr.findings.end()));
         }
     }
 
@@ -887,16 +768,16 @@ class MultiDomainRunner {
                 .counter("resilience.rollbacks")
                 .add();
         }
-        // A round launched at the last commit may still be copying:
+        // A round launched after the last commit may still be copying:
         // complete and promote it first — its sources are intact (any
-        // rank that overwrote its workspace passed the barrier), and it
-        // is the newest clean rollback point.
-        snap_.finish();
+        // rank that wrote into its state passed the barrier), and it is
+        // the newest clean rollback point.
+        snap_.finish(mass_baseline_);
         snap_.restore(
             [this](Index r) -> State<T>& { return rank_state(r); });
         step_index_ = snap_.step();
         mass_baseline_ = snap_.mass();
-        if (exchanger_ != nullptr) rebuild_exchanger();
+        rebuild_exchanger();
         recovery_log_ += "rollback to step " + std::to_string(snap_.step()) +
                          " (" + why + "); ";
     }
@@ -918,9 +799,9 @@ class MultiDomainRunner {
         std::vector<Index> suspects;
     };
 
-    /// Decide whether the exception(s) of a failed step are transient
-    /// (recoverable by rollback) or fatal, with rank attribution. With
-    /// concurrent ranks one root cause typically fails several tasks —
+    /// Decide whether the exceptions of a failed step's rank tasks are
+    /// transient (recoverable by rollback) or fatal, with rank
+    /// attribution. One root cause typically fails several tasks —
     /// the faulty rank plus peers released by channel poisoning — so all
     /// task errors are inspected together. Priority: an injected kill or
     /// a missed deadline is fatal (the rank is gone / unresponsive);
@@ -949,13 +830,7 @@ class MultiDomainRunner {
                                 e.what() + "; ";
             }
         };
-        if (tasks_ != nullptr && !tasks_->errors().empty()) {
-            for (const auto& [task, ep] : tasks_->errors()) {
-                inspect(task, ep);
-            }
-        } else {
-            inspect(0, std::current_exception());
-        }
+        for (const auto& [task, ep] : tasks_->errors()) inspect(task, ep);
 
         FailureVerdict v;
         auto join_ranks = [](std::vector<Index>& rs) {
@@ -1008,12 +883,6 @@ class MultiDomainRunner {
         return s;
     }
 
-    Index rank_of(Index rx, Index ry) const {
-        const Index wx = (rx % px_ + px_) % px_;
-        const Index wy = (ry % py_ + py_) % py_;
-        return wy * px_ + wx;
-    }
-
     /// Copy the (stagger-aware) interior window of a global array into a
     /// rank-local array. `sx/sy` are 1 for face-staggered axes.
     void copy_window(const Array3<T>& global, Array3<T>& local, Index r,
@@ -1059,71 +928,6 @@ class MultiDomainRunner {
                     global(ox + i, oy + j, k) = local(i, j, k);
     }
 
-    /// Lockstep exchange of one field family across all ranks: x strips
-    /// first, then y strips over the full padded x-range (corners resolve
-    /// exactly as in the single-domain periodic fill).
-    template <class FieldOf>
-    void exchange(FieldOf&& field_of) {
-        // x direction.
-        for (Index ry = 0; ry < py_; ++ry) {
-            for (Index rx = 0; rx < px_; ++rx) {
-                auto& dst = field_of(*ranks_[size_t(rank_of(rx, ry))]);
-                auto& left = field_of(*ranks_[size_t(rank_of(rx - 1, ry))]);
-                auto& right = field_of(*ranks_[size_t(rank_of(rx + 1, ry))]);
-                const Index h = dst.halo();
-                const Index sx = dst.nx() - nxl_;  // 1 if x-staggered
-                for (Index j = 0; j < dst.ny(); ++j)
-                    for (Index k = -h; k < dst.nz() + h; ++k) {
-                        for (Index t = 1; t <= h; ++t) {
-                            dst(-t, j, k) = left(nxl_ - t, j, k);
-                        }
-                        for (Index t = 0; t < h + sx; ++t) {
-                            dst(nxl_ + t, j, k) = right(t, j, k);
-                        }
-                    }
-            }
-        }
-        // y direction, full padded x-range.
-        for (Index ry = 0; ry < py_; ++ry) {
-            for (Index rx = 0; rx < px_; ++rx) {
-                auto& dst = field_of(*ranks_[size_t(rank_of(rx, ry))]);
-                auto& down = field_of(*ranks_[size_t(rank_of(rx, ry - 1))]);
-                auto& up = field_of(*ranks_[size_t(rank_of(rx, ry + 1))]);
-                const Index h = dst.halo();
-                const Index sy = dst.ny() - nyl_;
-                for (Index k = -h; k < dst.nz() + h; ++k)
-                    for (Index i = -h; i < dst.nx() + h; ++i) {
-                        for (Index t = 1; t <= h; ++t) {
-                            dst(i, -t, k) = down(i, nyl_ - t, k);
-                        }
-                        for (Index t = 0; t < h + sy; ++t) {
-                            dst(i, nyl_ + t, k) = up(i, t, k);
-                        }
-                    }
-            }
-        }
-    }
-
-    void exchange_state_fields(bool workspaces) {
-        auto pick = [&](Rank& rk) -> State<T>& {
-            return workspaces ? rk.stepper.stage_workspace() : rk.state;
-        };
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).rho; });
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).rhou; });
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).rhov; });
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).rhow; });
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).rhotheta; });
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).p; });
-        for (std::size_t n = 0; n < species_.count(); ++n) {
-            exchange([&](Rank& rk) -> Array3<T>& {
-                return pick(rk).tracers[n];
-            });
-        }
-    }
-
-    void exchange_states() { exchange_state_fields(false); }
-    void exchange_workspaces() { exchange_state_fields(true); }
-
     GridSpec global_;
     Index px_, py_;
     SpeciesSet species_;
@@ -1131,12 +935,10 @@ class MultiDomainRunner {
     MultiDomainConfig mdcfg_;
     Index nxl_ = 0, nyl_ = 0;
     std::vector<std::unique_ptr<Rank>> ranks_;
-    // Concurrent-mode machinery (null in lockstep mode).
     std::unique_ptr<TaskLayer> tasks_;
     std::unique_ptr<HaloExchanger<T>> exchanger_;
     std::vector<std::unique_ptr<ThreadPool>> pools_;
     StepHooks step_hooks_;
-    typename StepHooks::Handle shim_handle_ = 0;
     // Resilience machinery (inert when mdcfg_.resilience.enabled is off).
     resilience::FaultInjector injector_;
     resilience::Watchdog<T> watchdog_;

@@ -27,6 +27,7 @@
 
 #include "src/cluster/decomp.hpp"
 #include "src/cluster/topology.hpp"
+#include "src/core/timestepper.hpp"
 #include "src/gpusim/roofline.hpp"
 #include "src/gpusim/timeline.hpp"
 #include "src/instrument/calibration.hpp"
@@ -183,9 +184,9 @@ class StepModel {
     }
 
     static int substeps_per_stage(int stage, int total) {
-        // Stage fractions 1/3, 1/2, 1 of the paper's RK3: distribute the
-        // recorded substep count proportionally (matching the stepper).
-        const double f[3] = {1.0 / 3.0, 0.5, 1.0};
+        // Distribute the recorded substep count over the RK3 stages in
+        // proportion to their fractions of dt (matching the stepper).
+        const double* f = kRk3StageFraction;
         const double denom = f[0] + f[1] + f[2];
         int n = std::max(1, static_cast<int>(std::lround(
                                 total * f[stage] / denom)));

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <algorithm>
+#include <initializer_list>
 #include <vector>
 
 #include "src/common/constants.hpp"
@@ -171,20 +172,35 @@ class AcousticStepper {
         });
     }
 
+    /// The deviation arrays one halo fill covers, in canonical order.
+    using HaloFields = std::initializer_list<Array3<T>*>;
+
     /// Advance the deviations by one acoustic substep of length dtau.
-    /// Single-domain path: halos between phases are filled by the lateral
-    /// BC. Multi-domain runners call the three phases directly and perform
-    /// real halo exchanges in between (the paper's per-short-step MPI
-    /// exchanges of momentum and potential temperature, Sec. V-A).
-    void substep(const Tendencies<T>& slow, double dtau, LateralBc bc) {
+    /// `fill_halos(HaloFields)` refreshes the lateral halos of a group of
+    /// deviations between phases: the lateral BC on a single domain, a
+    /// real neighbor exchange on a decomposed one (the paper's
+    /// per-short-step MPI exchanges of momentum and potential
+    /// temperature, Sec. V-A). Three fills per substep: dp_half; du, dv;
+    /// then dw, drho, dth, dp.
+    template <class FillHalos>
+    void substep(const Tendencies<T>& slow, double dtau,
+                 FillHalos&& fill_halos) {
         phase_theta_half(slow, dtau);
-        apply_lateral_bc(dp_half_, bc, grid_.nx(), grid_.ny());
+        fill_halos(HaloFields{&dp_half_});
         phase_horizontal_momentum(slow, dtau);
-        apply_lateral_bc(du_, bc, grid_.nx(), grid_.ny());
-        apply_lateral_bc(dv_, bc, grid_.nx(), grid_.ny());
+        fill_halos(HaloFields{&du_, &dv_});
         phase_bottom_kinematic();
         phase_vertical_implicit(slow, dtau);
-        apply_bcs(bc);
+        fill_halos(HaloFields{&dw_, &drho_, &dth_, &dp_});
+    }
+
+    /// Single-domain substep: halos filled by the lateral BC.
+    void substep(const Tendencies<T>& slow, double dtau, LateralBc bc) {
+        substep(slow, dtau, [&](HaloFields fields) {
+            for (Array3<T>* a : fields) {
+                apply_lateral_bc(*a, bc, grid_.nx(), grid_.ny());
+            }
+        });
     }
 
     /// Reconstruct the full state: out = bar + deviations, with the full
@@ -846,19 +862,6 @@ class AcousticStepper {
         }
     }
 
-  public:
-    /// Fill all deviation halos with the lateral BC (single-domain path).
-    void apply_bcs(LateralBc bc) {
-        const Index nx = grid_.nx(), ny = grid_.ny();
-        apply_lateral_bc(du_, bc, nx, ny);
-        apply_lateral_bc(dv_, bc, nx, ny);
-        apply_lateral_bc(dw_, bc, nx, ny);
-        apply_lateral_bc(drho_, bc, nx, ny);
-        apply_lateral_bc(dth_, bc, nx, ny);
-        apply_lateral_bc(dp_, bc, nx, ny);
-    }
-
-  private:
     const Grid<T>& grid_;
     AcousticConfig cfg_;
     // Linearization coefficients (frozen per RK stage).

@@ -17,8 +17,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <utility>
 
 #include "src/core/acoustic.hpp"
 #include "src/core/advection.hpp"
@@ -38,6 +36,9 @@
 
 namespace asuca {
 
+/// Fractions of dt the three Wicker–Skamarock RK3 stages integrate over.
+inline constexpr double kRk3StageFraction[3] = {1.0 / 3.0, 0.5, 1.0};
+
 struct TimeStepperConfig {
     double dt = 1.0;        ///< long step [s]
     int n_short_steps = 6;  ///< acoustic substeps per full dt
@@ -54,8 +55,7 @@ class TimeStepper {
     TimeStepper(const Grid<T>& grid, const SpeciesSet& species,
                 const TimeStepperConfig& config)
         : grid_(grid), cfg_(config), acoustic_(grid, config.acoustic),
-          slow_(grid, species), fluxes_(grid), s0_(grid, species),
-          work_(grid, species),
+          slow_(grid, species), fluxes_(grid), work_(grid, species),
           p_pert_({grid.nx(), grid.ny(), grid.nz()}, grid.halo(),
                   grid.layout()),
           rho_pert_({grid.nx(), grid.ny(), grid.nz()}, grid.halo(),
@@ -67,70 +67,21 @@ class TimeStepper {
     const TimeStepperConfig& config() const { return cfg_; }
 
     /// Per-step hook surface: every subscriber is invoked with the
-    /// updated state after each step(), in subscription order. The
-    /// conservation ledger, metrics snapshotter and golden harness all
-    /// attach here concurrently — see src/observability/step_hooks.hpp.
+    /// updated state after each single-domain step(), in subscription
+    /// order. The conservation ledger, metrics snapshotter and golden
+    /// harness all attach here concurrently — see
+    /// src/observability/step_hooks.hpp.
     using StepHooks = obs::StepHooks<const State<T>&>;
     StepHooks& step_hooks() { return step_hooks_; }
 
-    /// Deprecated single-observer shim over step_hooks(): setting an
-    /// observer replaces only the shim's own subscription (other
-    /// subscribers keep firing); nullptr detaches it. New code should
-    /// use step_hooks().add()/remove() directly.
-    using StepObserver = std::function<void(const State<T>&)>;
-    [[deprecated("use step_hooks().add()/remove()")]]
-    void set_step_observer(StepObserver observer) {
-        if (shim_handle_ != 0) {
-            step_hooks_.remove(shim_handle_);
-            shim_handle_ = 0;
-        }
-        if (observer) shim_handle_ = step_hooks_.add(std::move(observer));
-    }
-
-    /// Advance `state` by one long step dt.
-    ///
-    /// `state` itself serves as the step-start state: it is only read
-    /// until the final RK stage writes the result back into it, so the
-    /// per-stage deep copies (`s0_ = state`, `work_ = *bar`) are elided.
-    /// The workspace is synced once (reference fields, halo content the
-    /// copies used to carry) and its reference fields refreshed per step.
+    /// Advance `state` by one long step dt on a single domain (halos
+    /// filled by the lateral BC), then record the stepper.* metrics and
+    /// notify step_hooks().
     void step(State<T>& state) {
-        obs::TraceSpan step_span("long_step", "phase");
         Timer step_timer;
         step_timer.start();
-        apply_state_bcs(state);
-        sync_stage_workspace(state);
-
-        static constexpr const char* kStageName[3] = {
-            "rk3_stage_1/3", "rk3_stage_1/2", "rk3_stage_1"};
-        static constexpr double kStageFraction[3] = {1.0 / 3.0, 0.5, 1.0};
-        const State<T>* bar = &state;
-        for (int stage = 0; stage < 3; ++stage) {
-            obs::TraceSpan stage_span(kStageName[stage], "phase");
-            const double dt_s = cfg_.dt * kStageFraction[stage];
-            compute_slow_tendencies(*bar, slow_);
-            acoustic_.prepare(*bar);
-            acoustic_.init_deviations(state, *bar);
-            const int ns = std::max(
-                1, static_cast<int>(std::lround(cfg_.n_short_steps *
-                                                kStageFraction[stage])));
-            const double dtau = dt_s / ns;
-            {
-                obs::TraceSpan acoustic_span("acoustic_substeps", "phase");
-                for (int n = 0; n < ns; ++n) {
-                    acoustic_.substep(slow_, dtau, cfg_.bc);
-                }
-            }
-            // Intermediate stages land in the workspace; the final stage
-            // writes straight into `state`. finalize and the tracer
-            // update are pointwise, so out == bar (stage 1) and
-            // out == state (stage 2) are in-place safe.
-            State<T>& out = (stage == 2) ? state : work_;
-            acoustic_.finalize(*bar, out);
-            update_tracers_into(state, dt_s, out);
-            apply_state_bcs(out);
-            bar = &out;
-        }
+        LateralBcHalos halos{*this};
+        step(state, halos);
         step_timer.stop();
         if (obs::metrics_enabled()) {
             static auto& steps =
@@ -141,6 +92,63 @@ class TimeStepper {
             seconds.observe(step_timer.seconds() * 1e6);
         }
         step_hooks_.notify(state);
+    }
+
+    /// The one RK3/HE-VI stage program, with every halo action delegated
+    /// to `halos`. The single-domain step() passes a lateral-BC policy;
+    /// the decomposed runner passes one neighbor-exchange policy per
+    /// rank (cluster/multidomain.hpp), whose variants change only WHEN
+    /// halo work happens. A policy provides:
+    ///
+    ///   before_first_write(state)       once, before the step first
+    ///                                   writes into `state` (its halos);
+    ///   open_stage(bar, slow)           fill bar's halos, then compute
+    ///                                   the slow tendencies at bar;
+    ///   substep(acoustic, slow, dtau)   one acoustic substep, including
+    ///                                   its deviation halo fills;
+    ///   fill(state)                     fill the halos of the result.
+    ///
+    /// `state` itself serves as the step-start state: it is only read
+    /// until the final RK stage writes the result back into it, so no
+    /// per-stage deep copy is taken. Intermediate stages land in the
+    /// workspace, which is synced once (reference fields, halo content
+    /// the copies used to carry) and its reference fields refreshed per
+    /// step. Fires no hooks and records no stepper.* metrics.
+    template <class Halos>
+    void step(State<T>& state, Halos& halos) {
+        obs::TraceSpan step_span("long_step", "phase");
+        halos.before_first_write(state);
+        sync_stage_workspace(state);
+
+        static constexpr const char* kStageName[3] = {
+            "rk3_stage_1/3", "rk3_stage_1/2", "rk3_stage_1"};
+        State<T>* bar = &state;
+        for (int stage = 0; stage < 3; ++stage) {
+            obs::TraceSpan stage_span(kStageName[stage], "phase");
+            const double dt_s = cfg_.dt * kRk3StageFraction[stage];
+            halos.open_stage(*bar, slow_);
+            acoustic_.prepare(*bar);
+            acoustic_.init_deviations(state, *bar);
+            const int ns = std::max(
+                1, static_cast<int>(std::lround(cfg_.n_short_steps *
+                                                kRk3StageFraction[stage])));
+            const double dtau = dt_s / ns;
+            {
+                obs::TraceSpan acoustic_span("acoustic_substeps", "phase");
+                for (int n = 0; n < ns; ++n) {
+                    halos.substep(acoustic_, slow_, dtau);
+                }
+            }
+            // Intermediate stages land in the workspace; the final stage
+            // writes straight into `state`. finalize and the tracer
+            // update are pointwise, so out == bar (stage 1) and
+            // out == state (stage 2) are in-place safe.
+            State<T>& out = (stage == 2) ? state : work_;
+            acoustic_.finalize(*bar, out);
+            update_tracers_into(state, dt_s, out);
+            bar = &out;
+        }
+        halos.fill(state);
     }
 
     /// Assemble the slow-mode tendencies at the given (BC-consistent)
@@ -263,20 +271,6 @@ class TimeStepper {
                            slow.tracers[n], j0, j1);
     }
 
-    // --- hooks for multi-domain (decomposed) orchestration -------------
-    // A decomposed runner drives the same stage structure as step() but
-    // replaces every halo fill with a real neighbor exchange; it needs
-    // access to the stage machinery (see cluster/multidomain.hpp).
-    AcousticStepper<T>& acoustic() { return acoustic_; }
-    Tendencies<T>& slow_tendencies() { return slow_; }
-    State<T>& step_start_state() { return s0_; }
-    State<T>& stage_workspace() { return work_; }
-    /// Advance the tracers of the stage workspace from the step-start
-    /// state by dt_s using the current slow tendencies.
-    void update_stage_tracers(double dt_s) {
-        update_tracers_into(s0_, dt_s, work_);
-    }
-
     /// Fill lateral halos of all prognostic fields and the pressure.
     void apply_state_bcs(State<T>& s) const {
         const Index nx = grid_.nx(), ny = grid_.ny();
@@ -293,6 +287,21 @@ class TimeStepper {
     }
 
   private:
+    /// The single-domain halo policy: every fill is the lateral BC.
+    struct LateralBcHalos {
+        TimeStepper& st;
+        void before_first_write(State<T>&) {}
+        void fill(State<T>& s) { st.apply_state_bcs(s); }
+        void open_stage(State<T>& bar, Tendencies<T>& slow) {
+            fill(bar);
+            st.compute_slow_tendencies(bar, slow);
+        }
+        void substep(AcousticStepper<T>& acoustic, const Tendencies<T>& slow,
+                     double dtau) {
+            acoustic.substep(slow, dtau, st.cfg_.bc);
+        }
+    };
+
     void compute_mass_fluxes_instrumented(const State<T>& bar) {
         // These kernels compute into a one-ring halo extension; count the
         // elements they actually touch so FLOPs/element is mesh-invariant.
@@ -358,12 +367,10 @@ class TimeStepper {
     AcousticStepper<T> acoustic_;
     Tendencies<T> slow_;
     MassFluxes<T> fluxes_;
-    State<T> s0_;
     State<T> work_;
     bool work_synced_ = false;
     Array3<T> p_pert_, rho_pert_;
     StepHooks step_hooks_;
-    typename StepHooks::Handle shim_handle_ = 0;
 };
 
 }  // namespace asuca

@@ -112,8 +112,11 @@ class TaskLayer {
                 err = std::current_exception();
             }
             {
+                // Hand the exception over under the lock: the worker must
+                // keep no reference past it, or its release could be the
+                // one that frees the exception after run() returned.
                 std::lock_guard lock(mutex_);
-                if (err) errors_.emplace_back(index, err);
+                if (err) errors_.emplace_back(index, std::move(err));
                 if (--remaining_ == 0) cv_done_.notify_all();
             }
         }

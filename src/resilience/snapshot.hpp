@@ -7,26 +7,24 @@
 // field copies taken ASYNCHRONOUSLY, overlapped with the next step's
 // compute:
 //
-//   * The copy source is each rank's TimeStepper stage workspace. At
-//     commit time the workspace is bitwise identical to the committed
-//     rank state (the step's epilogue assigns one from the other), and
-//     the next step does not write the workspace until its stage-0
-//     "workspace = bar" assignment — after the slow tendencies and the
-//     whole stage-0 acoustic ladder. That window is where the copies
+//   * The copy source is each rank's state, launched right after the
+//     step that produced it. Nothing writes a rank state again until
+//     the next step's halo fill (or an injected field fault), and every
+//     such writer first passes barrier(r). That gap — the health scan,
+//     the step hooks, the driver's bookkeeping — is where the copies
 //     run, on a dedicated snapshot thread.
 //   * Each rank's copy is guarded by a claim word. The snapshot thread
-//     claims ranks and copies them in the background; a rank worker
-//     that reaches its stage-0 workspace assignment first STEALS its
-//     own copy (claims and copies inline) or, if the snapshot thread is
-//     mid-copy, waits for that rank only. No rank ever waits on another
-//     rank's copy.
+//     claims ranks and copies them in the background; a writer that
+//     reaches barrier(r) first STEALS rank r's copy (claims and copies
+//     inline) or, if the snapshot thread is mid-copy, waits for that
+//     rank only. No rank ever waits on another rank's copy.
 //   * Copies are double-buffered: the staging buffers fill while the
 //     previously committed snapshot stays restorable, and the driver
-//     promotes staging -> committed once the round is complete. A
+//     promotes staging -> committed once the step it copied commits. A
+//     round whose step fails its health scan is discarded instead. A
 //     rollback that arrives mid-round completes the round first (the
-//     sources are still intact — the failed step never reached its
-//     workspace assignment on the faulted ranks... and if it did, the
-//     copy already happened via the barrier).
+//     sources are still intact — any rank that wrote its state passed
+//     the barrier, so its copy already happened).
 //   * Incremental: the time-invariant reference fields (rho_ref, p_ref,
 //     rhotheta_ref, cs2) are copied ONCE per configuration and only
 //     restored thereafter — per-field dirty tracking degenerates to
@@ -181,11 +179,11 @@ class RankFieldCopy {
 /// set of ranks. Thread roles:
 ///   driver  — capture_sync / launch / finish / restore / invalidate
 ///   worker  — the internal snapshot thread (spawned on first launch)
-///   ranks   — barrier(r), called by rank r's step program just before
-///             it overwrites the copy source for rank r
+///   ranks   — barrier(r), called just before anything writes rank r's
+///             copy source (rank r's step program, an injected fault)
 /// The driver calls are only legal while no rank program is running
 /// (between steps); barrier(r) is only legal between launch and the
-/// driver's next finish().
+/// driver's next finish() / discard().
 template <class T>
 class AsyncSnapshotter {
   public:
@@ -194,8 +192,8 @@ class AsyncSnapshotter {
     ~AsyncSnapshotter() { stop_worker(); }
 
     /// `async_source(r)` must yield rank r's copy source for background
-    /// rounds (the stage workspace); it is read from the snapshot thread
-    /// and from rank threads. `incremental` turns on j-slab dirty
+    /// rounds (the rank state); it is read from the snapshot thread and
+    /// from rank threads. `incremental` turns on j-slab dirty
     /// tracking in the per-rank copies (see RankFieldCopy); off means
     /// the tested fallback of full copies every round.
     void configure(Index ranks, Source async_source,
@@ -237,8 +235,7 @@ class AsyncSnapshotter {
     }
 
     /// Synchronous capture from `src` on the calling thread, directly
-    /// into the COMMITTED side. Used for the initial rollback point
-    /// (the async source is not initialized before the first step).
+    /// into the COMMITTED side. Used for the initial rollback point.
     void capture_sync(const Source& src, long long step, double mass) {
         ASUCA_REQUIRE(!round_active_, "capture_sync during a round");
         obs::TraceSpan span("snapshot_sync", "resilience");
@@ -260,14 +257,14 @@ class AsyncSnapshotter {
         count_bytes(bytes);
     }
 
-    /// Arm a background round: every rank becomes claimable, the
-    /// snapshot thread starts copying from `async_source`. Call only
-    /// between steps, with no previous round active.
-    void launch(long long step, double mass) {
+    /// Arm a background round of the state at `step`: every rank becomes
+    /// claimable, the snapshot thread starts copying from
+    /// `async_source`. Call only between steps, with no previous round
+    /// active.
+    void launch(long long step) {
         ASUCA_REQUIRE(configured(), "snapshotter not configured");
         ASUCA_REQUIRE(!round_active_, "snapshot round already active");
         staging_step_ = step;
-        staging_mass_ = mass;
         round_bytes_.store(0, std::memory_order_relaxed);
         for (Index r = 0; r < nranks_; ++r) {
             claims_[r].store(kPending, std::memory_order_release);
@@ -290,8 +287,8 @@ class AsyncSnapshotter {
         cv_.notify_one();
     }
 
-    /// Rank r's step program is about to overwrite rank r's copy source:
-    /// make sure rank r is copied first. Steals the copy inline when the
+    /// Rank r's copy source is about to be written: make sure rank r is
+    /// copied first. Steals the copy inline when the
     /// snapshot thread has not reached this rank yet; otherwise waits
     /// for that one rank's in-progress copy.
     void barrier(Index r) {
@@ -309,9 +306,10 @@ class AsyncSnapshotter {
     }
 
     /// Driver: complete any outstanding copies of the active round on
-    /// the calling thread and promote staging -> committed. Idempotent;
-    /// no-op when no round is active.
-    void finish() {
+    /// the calling thread and promote staging -> committed, with `mass`
+    /// as the mass baseline its state committed with. Idempotent; no-op
+    /// when no round is active.
+    void finish(double mass) {
         if (!round_active_) return;
         obs::TraceSpan span("snapshot_finish", "resilience");
         for (Index r = 0; r < nranks_; ++r) try_copy(r);
@@ -325,7 +323,7 @@ class AsyncSnapshotter {
         round_active_ = false;
         committed_ ^= 1;
         committed_step_ = staging_step_;
-        committed_mass_ = staging_mass_;
+        committed_mass_ = mass;
         valid_ = true;
         last_round_bytes_ = round_bytes_.load(std::memory_order_relaxed);
         count_bytes(last_round_bytes_);
@@ -337,6 +335,26 @@ class AsyncSnapshotter {
                     std::chrono::steady_clock::now() - round_start_)
                     .count());
         }
+    }
+
+    /// Driver: drop the active round without promoting it (its step
+    /// failed the health scan). Waits only for copies already in
+    /// progress; the committed snapshot stays restorable. No-op when no
+    /// round is active.
+    void discard() {
+        if (!round_active_) return;
+        for (Index r = 0; r < nranks_; ++r) {
+            auto& c = claims_[r];
+            int expected = kPending;
+            if (!c.compare_exchange_strong(expected, kIdle,
+                                           std::memory_order_acq_rel)) {
+                while (c.load(std::memory_order_acquire) != kDone) {
+                    std::this_thread::yield();
+                }
+                c.store(kIdle, std::memory_order_relaxed);
+            }
+        }
+        round_active_ = false;
     }
 
     /// Restore the committed snapshot: dynamic fields from the committed
@@ -429,7 +447,6 @@ class AsyncSnapshotter {
     // Active round (staging side = committed_ ^ 1).
     bool round_active_ = false;
     long long staging_step_ = 0;
-    double staging_mass_ = 0.0;
     std::unique_ptr<std::atomic<int>[]> claims_;
     std::atomic<std::size_t> round_bytes_{0};
     std::chrono::steady_clock::time_point round_start_{};

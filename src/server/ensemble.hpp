@@ -189,11 +189,7 @@ inline ForecastResult run_forecast(const ScenarioSpec& spec,
         AsucaModel<double> seed_model(cfg);
         init_model(seed_model, spec);
         cluster::MultiDomainConfig md;
-        if (spec.overlap == "split") {
-            md.overlap = cluster::OverlapMode::Split;
-        } else if (spec.overlap == "pipeline") {
-            md.overlap = cluster::OverlapMode::SplitPipeline;
-        }
+        md.overlap = overlap_mode(spec.overlap);
         if (!spec.inject.empty()) {
             // Injection arms the resilience policy with a rollback point
             // after every committed step. "halo" and "nan" are transient

@@ -61,9 +61,8 @@
 //     live run — without re-integrating anything.
 //   * API: the primary entry point is the wire envelope —
 //     submit(wire::ForecastRequestV1) — shared with the out-of-process
-//     front-end (socket_server.hpp); submit(ScenarioSpec) survives as a
-//     deprecated shim. Every failure carries a typed ErrorCode from the
-//     scenario.hpp taxonomy.
+//     front-end (socket_server.hpp). Every failure carries a typed
+//     ErrorCode from the scenario.hpp taxonomy.
 //   * Observability: per-request TraceSpans ("server" category),
 //     server.* gauges/histograms (capacity, queue_depth, latency_us)
 //     through the existing TraceRecorder / MetricsRegistry — and ONE
@@ -337,15 +336,6 @@ class ForecastServer {
                            std::chrono::milliseconds(req.deadline_ms));
     }
 
-    /// Pre-envelope shim: the C++-object surface every caller used
-    /// before the wire API existed. Same execution path; no per-request
-    /// deadline override.
-    [[deprecated("use submit(wire::ForecastRequestV1) — the envelope "
-                 "API")]]
-    ForecastHandle submit(const ScenarioSpec& spec) {
-        return submit_spec(spec, std::chrono::milliseconds{0});
-    }
-
     /// Fork a stored checkpoint into n_members perturbed member requests
     /// (scheduled concurrently; one handle per member, in member order).
     std::vector<ForecastHandle> submit_ensemble(const EnsembleRequest& req) {
@@ -449,7 +439,7 @@ class ForecastServer {
     }
 
   private:
-    /// The shared execution path behind both submit() overloads and
+    /// The shared execution path behind submit() and
     /// submit_ensemble(). deadline_override > 0 replaces the config's
     /// per-request deadline budget for this request.
     ForecastHandle submit_spec(const ScenarioSpec& spec,

@@ -28,7 +28,9 @@
 #include <memory>
 #include <string>
 
+#include "src/cluster/multidomain.hpp"
 #include "src/common/error.hpp"
+#include "src/common/hash.hpp"
 #include "src/core/model.hpp"
 #include "src/core/scenarios.hpp"
 #include "src/grid/terrain.hpp"
@@ -74,6 +76,24 @@ inline bool known_scenario(const std::string& s) {
     return s == "warm_bubble" || s == "mountain_wave" || s == "real_case";
 }
 
+/// The runner mode of a spec's (validated) overlap name.
+inline cluster::OverlapMode overlap_mode(const std::string& overlap) {
+    if (overlap == "split") return cluster::OverlapMode::Split;
+    if (overlap == "pipeline") return cluster::OverlapMode::SplitPipeline;
+    return cluster::OverlapMode::None;
+}
+
+/// Whether every rank of a decomposed spec gets at least the runner's
+/// minimum local extent for its overlap mode at coarsening level
+/// `coarsen` (single-domain specs always fit).
+inline bool fits_decomposition(const ScenarioSpec& s, int coarsen) {
+    if (s.px * s.py == 1) return true;
+    const Index f = Index(1) << coarsen;
+    const Index need =
+        cluster::min_local_extent(overlap_mode(s.overlap), GridSpec{}.halo);
+    return s.nx / f / s.px >= need && s.ny / f / s.py >= need;
+}
+
 /// Normalize every semantically-irrelevant field (see header comment).
 /// Validates the spec; throws Error on nonsense the server cannot run.
 inline ScenarioSpec canonicalize(ScenarioSpec s) {
@@ -98,6 +118,11 @@ inline ScenarioSpec canonicalize(ScenarioSpec s) {
                       "decomposed requests run the dry dycore only");
         ASUCA_REQUIRE(s.warm_start.empty(),
                       "decomposed requests do not support warm starts");
+        ASUCA_REQUIRE(fits_decomposition(s, s.coarsen),
+                      "decomposition " << s.px << "x" << s.py << " of a "
+                          << s.nx << "x" << s.ny << " mesh leaves ranks "
+                          << "below the '" << s.overlap
+                          << "' minimum extent");
     }
     ASUCA_REQUIRE(s.inject.empty() || s.inject == "halo" ||
                       s.inject == "nan" || s.inject == "stall",
@@ -105,9 +130,6 @@ inline ScenarioSpec canonicalize(ScenarioSpec s) {
     if (!s.inject.empty()) {
         ASUCA_REQUIRE(s.px * s.py > 1,
                       "fault injection needs a decomposed run (px*py > 1)");
-        ASUCA_REQUIRE(s.inject == "nan" || s.overlap != "none",
-                      "'" << s.inject << "' injection needs halo channels "
-                          << "(overlap split|pipeline)");
     }
     if (s.warm_start.empty() || s.perturb_amplitude == 0.0) {
         // No fork: the perturbation fields cannot influence the result.
@@ -141,12 +163,14 @@ inline std::string canonical_key(const ScenarioSpec& s) {
 }
 
 /// Whether the grid of `s` can take one more 2x horizontal coarsening
-/// (stays even-divisible, above the minimum extent, and decomposable).
+/// (stays even-divisible, above the minimum extent, and decomposable
+/// into ranks the runner accepts).
 inline bool can_coarsen(const ScenarioSpec& s) {
     const Index f = Index(1) << (s.coarsen + 1);
     const Index nx = s.nx / f, ny = s.ny / f;
     return s.nx % f == 0 && s.ny % f == 0 && nx >= 8 && ny >= 8 &&
-           nx % s.px == 0 && ny % s.py == 0;
+           nx % s.px == 0 && ny % s.py == 0 &&
+           fits_decomposition(s, s.coarsen + 1);
 }
 
 /// Highest level of the ladder this spec supports (grid too small or not
@@ -251,27 +275,15 @@ class BadRequestError : public Error {
     explicit BadRequestError(const std::string& what) : Error(what) {}
 };
 
-namespace detail {
-inline std::uint64_t fnv1a(std::uint64_t h, const void* data,
-                           std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t n = 0; n < bytes; ++n) {
-        h ^= p[n];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-}  // namespace detail
-
 /// FNV-1a over every prognostic field's full padded bytes, in canonical
 /// field order — the bitwise identity card of a forecast product. Two
 /// runs agree bitwise iff their fingerprints agree (up to hash collision;
 /// tests that must PROVE bitwise identity compare full states instead).
 template <class T>
 std::uint64_t state_fingerprint(const State<T>& s) {
-    std::uint64_t h = 1469598103934665603ull;
+    std::uint64_t h = hash::kFnvOffset;
     auto mix = [&](const Array3<T>& a) {
-        h = detail::fnv1a(h, a.data(), a.size() * sizeof(T));
+        h = hash::fnv1a_bytes(a.data(), a.size() * sizeof(T), h);
     };
     mix(s.rho);
     mix(s.rhou);

@@ -1,8 +1,8 @@
-// Bitwise determinism of the concurrent multi-domain executor: every
-// overlap mode (kernel splitting, tracer pipelining, density-theta
-// fusion) must reproduce the lockstep reference runner exactly, across
-// decomposition shapes and step counts — the paper's Sec. V-A overlap
-// methods change only WHEN work happens, never what is computed.
+// Bitwise determinism of the multi-domain runner: every overlap mode
+// (unsplit, kernel splitting, tracer pipelining, density-theta fusion)
+// must reproduce the single-domain run exactly, across decomposition
+// shapes and step counts — the paper's Sec. V-A overlap methods change
+// only WHEN work happens, never what is computed.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -74,14 +74,12 @@ TEST_P(MultiDomainOverlap, BitwiseIdenticalToLockstep) {
     State<double> initial(grid, species);
     init_case(grid, species, initial);
 
-    // Reference: the lockstep runner on the same decomposition.
-    MultiDomainRunner<double> lockstep(spec, c.px, c.py, species, cfg);
-    lockstep.scatter(initial);
-    for (int n = 0; n < c.steps; ++n) lockstep.step();
-    State<double> ref(grid, species);
-    lockstep.gather(ref);
+    // Reference: the single-domain run from the same initial state.
+    State<double> ref = initial;
+    TimeStepper<double> stepper(grid, species, cfg);
+    for (int n = 0; n < c.steps; ++n) stepper.step(ref);
 
-    // Concurrent executor under test.
+    // Decomposed run under test.
     MultiDomainConfig md;
     md.overlap = c.mode;
     md.threads_per_rank = 2;
@@ -105,7 +103,12 @@ TEST_P(MultiDomainOverlap, BitwiseIdenticalToLockstep) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, MultiDomainOverlap,
     ::testing::Values(
-        // Shapes obey the concurrent-mode floor nxl, nyl >= 2*halo = 6.
+        // None needs nxl, nyl >= halo = 3: 4x4 gives 6x3 ranks, whose
+        // y strips span the whole rank.
+        OverlapCase{2, 2, OverlapMode::None, 2},
+        OverlapCase{4, 2, OverlapMode::None, 2},
+        OverlapCase{4, 4, OverlapMode::None, 2},
+        // The split modes need nxl, nyl >= 2*halo = 6.
         OverlapCase{2, 1, OverlapMode::Split, 2},
         OverlapCase{2, 1, OverlapMode::SplitPipeline, 2},
         OverlapCase{1, 2, OverlapMode::Split, 2},
@@ -124,8 +127,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(MultiDomainOverlap, MatchesSingleDomainBitwise) {
-    // Transitivity check straight to the single-domain stepper: the
-    // pipelined executor (all three overlap methods on) equals it too.
+    // The pipelined executor (all three overlap methods on) with one
+    // thread per rank — kernels inline on the rank workers — equals the
+    // single-domain stepper too.
     const auto spec = make_global(
         bell_mountain(350.0, 3000.0, 12000.0, 6000.0));
     const auto cfg = make_stepper_cfg();
@@ -154,6 +158,15 @@ TEST(MultiDomainOverlap, MatchesSingleDomainBitwise) {
     for (std::size_t n = 0; n < species.count(); ++n) {
         EXPECT_EQ(max_abs_diff(ref.tracers[n], got.tracers[n]), 0.0);
     }
+}
+
+TEST(MultiDomainOverlap, RejectsSubdomainsSmallerThanTheHalo) {
+    const auto spec = make_global(flat_terrain());
+    // 12 / 6 = 2 rows per rank < halo(3): the channel strips would copy
+    // halo rows, so even the unsplit mode must refuse.
+    EXPECT_THROW(MultiDomainRunner<double>(spec, 1, 6, SpeciesSet::dry(),
+                                           make_stepper_cfg()),
+                 Error);
 }
 
 TEST(MultiDomainOverlap, RejectsSubdomainsSmallerThanTwoHalos) {

@@ -354,8 +354,8 @@ TEST(ResilienceRecovery, GuardedRunIsBitwiseIdenticalToUnguarded) {
     State<double> initial(grid, species);
     init_case(grid, species, initial);
 
-    for (OverlapMode mode :
-         {OverlapMode::Split, OverlapMode::SplitPipeline}) {
+    for (OverlapMode mode : {OverlapMode::None, OverlapMode::Split,
+                             OverlapMode::SplitPipeline}) {
         MultiDomainConfig plain;
         plain.overlap = mode;
         MultiDomainRunner<double> unguarded(spec, 2, 2, species, cfg, plain);
@@ -447,8 +447,8 @@ TEST(ResilienceRecovery, HaloCorruptionRollsBackAndReplaysBitwise) {
 }
 
 TEST(ResilienceRecovery, LockstepFieldFaultRecoversBitwise) {
-    // The recovery policy is executor-agnostic: the serial lockstep
-    // runner rolls back and replays exactly like the concurrent one.
+    // The recovery policy is mode-agnostic: the unsplit runner rolls
+    // back and replays exactly like the split ones.
     const auto spec = make_global();
     const auto cfg = make_stepper_cfg();
     const auto species = SpeciesSet::dry();
@@ -563,14 +563,41 @@ TEST(ResilienceRecovery, FaultPlanWithoutResilienceIsRejected) {
     EXPECT_THROW(MultiDomainRunner<double>(spec, 2, 2, SpeciesSet::dry(),
                                            cfg, md),
                  Error);
-    // Rank/halo faults are meaningless without channels or rank workers.
-    MultiDomainConfig lockstep;
-    lockstep.resilience.enabled = true;
-    lockstep.resilience.faults.push_back(
-        {FaultKind::RankStall, 0, 0, VarId::Rho, 0, 0, 0, {}});
-    EXPECT_THROW(MultiDomainRunner<double>(spec, 2, 2, SpeciesSet::dry(),
-                                           cfg, lockstep),
-                 Error);
+}
+
+TEST(ResilienceRecovery, HaloCorruptionUnderNoneRecoversBitwise) {
+    // The unsplit mode exchanges through the same guarded channels as the
+    // split ones, so halo faults are detected and recovered there too.
+    const auto spec = make_global();
+    const auto cfg = make_stepper_cfg();
+    const auto species = SpeciesSet::dry();
+    Grid<double> grid(spec);
+    State<double> initial(grid, species);
+    init_case(grid, species, initial);
+
+    MultiDomainRunner<double> clean(spec, 2, 2, species, cfg,
+                                    resilient_config(OverlapMode::None));
+    clean.scatter(initial);
+    clean.advance(3);
+    State<double> ref(grid, species);
+    clean.gather(ref);
+
+    FaultPlan plan;
+    plan.push_back(
+        {FaultKind::HaloCorrupt, 2, 1, VarId::RhoTheta, 0, 0, 0, {}});
+    MultiDomainRunner<double> faulty(
+        spec, 2, 2, species, cfg, resilient_config(OverlapMode::None, plan));
+    faulty.scatter(initial);
+    faulty.advance(3);
+    State<double> got(grid, species);
+    faulty.gather(got);
+
+    expect_bitwise(ref, got);
+    EXPECT_EQ(faulty.injector().fired_count(), 1);
+    EXPECT_NE(faulty.recovery_log().find("transient halo corruption"),
+              std::string::npos);
+    EXPECT_NE(faulty.recovery_log().find("rollback to step 1"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -854,8 +881,8 @@ TEST(ResilienceSnapshot, ManualRestoreRequiresResilience) {
 // A strided watchdog may miss a fresh single-cell corruption; the NaN
 // then spreads through the next step's stencils and implicit solves,
 // the following scan catches it, and rollback lands on the last clean
-// snapshot (snapshots copy the stage workspace, which injected faults
-// never touch). The recovered trajectory must still equal a clean run
+// snapshot (each rollback point is copied before that step's injected
+// faults land). The recovered trajectory must still equal a clean run
 // bitwise, and detection must stay within the configured bound.
 TEST(ResilienceRecovery, SampledWatchdogRecoversBitwiseWithinBound) {
     const auto spec = make_global();

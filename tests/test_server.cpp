@@ -256,6 +256,38 @@ TEST(ServerScenario, DegradationLadderShedsHorizonThenResolution) {
     EXPECT_EQ(apply_degradation(t, 2).steps, 4);
 }
 
+TEST(ServerScenario, DecompositionsRespectTheRunnerMinimumExtent) {
+    // The split modes need 2*halo = 6 cells per rank, the unsplit mode
+    // halo = 3: validation rejects what the runner would refuse...
+    ScenarioSpec s = small_spec(8);
+    s.nx = 8;
+    s.ny = 8;
+    s.px = 2;
+    s.py = 2;
+    for (const char* overlap : {"split", "pipeline"}) {
+        s.overlap = overlap;
+        EXPECT_THROW(canonicalize(s), Error) << overlap;
+    }
+    s.overlap = "none";
+    EXPECT_NO_THROW(canonicalize(s));
+    s.px = 4;
+    s.py = 4;  // 2x2 cells per rank < halo
+    EXPECT_THROW(canonicalize(s), Error);
+
+    // ...and the degradation ladder never coarsens a decomposed request
+    // below it: 16x16 on 2x2 coarsens to 4x4 per rank, too small to
+    // split but enough for the unsplit mode.
+    ScenarioSpec d = small_spec(8);
+    d.px = 2;
+    d.py = 2;
+    d.overlap = "split";
+    EXPECT_EQ(max_degrade_level(canonicalize(d)), 1);
+    d.overlap = "pipeline";
+    EXPECT_EQ(max_degrade_level(canonicalize(d)), 1);
+    d.overlap = "none";
+    EXPECT_EQ(max_degrade_level(canonicalize(d)), 2);
+}
+
 // ---------------------------------------------------------------------
 // Submission, deduplication, error paths.
 // ---------------------------------------------------------------------
@@ -343,24 +375,6 @@ TEST(ServerSubmit, ShedPolicyRejectsOnlyWhenOptedIn) {
     EXPECT_GE(ok, 1u);  // the first admission always runs
     EXPECT_EQ(shed, server.stats().shed);
     EXPECT_EQ(ok + shed, 12u);
-}
-
-TEST(ServerSubmit, DeprecatedSpecShimStillServes) {
-    // The pre-envelope C++-object surface survives as a thin shim over
-    // submit(ForecastRequestV1) — same execution path, same bits.
-    ForecastServer server;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const ForecastHandle shim = server.submit(small_spec());
-#pragma GCC diagnostic pop
-    const ForecastResult& via_shim = shim.wait();
-    ASSERT_TRUE(via_shim.ok()) << via_shim.error;
-
-    ForecastServer fresh;
-    const ForecastResult& via_envelope =
-        fresh.submit(envelope(small_spec())).wait();
-    ASSERT_TRUE(via_envelope.ok()) << via_envelope.error;
-    EXPECT_EQ(via_shim.fingerprint, via_envelope.fingerprint);
 }
 
 TEST(ServerSubmit, PerRequestDeadlineRidesTheEnvelope) {
@@ -476,26 +490,26 @@ TEST(ServerDeterminism, RequestMatchesStandaloneRunBitwise) {
 }
 
 TEST(ServerDeterminism, DecomposedRequestMatchesAllOverlapModes) {
-    // A 2x2 split-mode request (HaloChannel + TaskLayer under the
-    // server's ScopedOverride) must equal the lockstep answer bitwise.
-    ScenarioSpec spec = small_spec(2);
-    spec.px = 2;
-    spec.py = 2;
-    spec.overlap = "none";
-    const ForecastResult lockstep =
+    // A 2x2 request in every overlap mode (HaloChannel + TaskLayer under
+    // the server's ScopedOverride) must equal the single-domain answer
+    // of the same spec bitwise.
+    const ScenarioSpec spec = small_spec(2);
+    const ForecastResult single =
         run_forecast(canonicalize(spec), nullptr, true);
-    ASSERT_TRUE(lockstep.ok()) << lockstep.error;
+    ASSERT_TRUE(single.ok()) << single.error;
 
     ServerConfig cfg;
     cfg.keep_state = true;
     ForecastServer server(cfg);
-    for (const char* overlap : {"split", "pipeline"}) {
+    for (const char* overlap : {"none", "split", "pipeline"}) {
         ScenarioSpec s = spec;
+        s.px = 2;
+        s.py = 2;
         s.overlap = overlap;
         const ForecastResult& res = server.submit(envelope(s)).wait();
         ASSERT_TRUE(res.ok()) << overlap << ": " << res.error;
         ASSERT_NE(res.state, nullptr);
-        expect_bitwise(*lockstep.state, *res.state);
+        expect_bitwise(*single.state, *res.state);
     }
 }
 

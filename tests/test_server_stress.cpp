@@ -8,7 +8,7 @@
 //   2. M concurrent decomposed runners x N ranks each — far more
 //      resident rank workers than cores — complete without deadlock or
 //      lost halo messages, and every runner's answer is bitwise stable
-//      across repetitions (and equal to the lockstep serial answer).
+//      across repetitions (and equal to the single-domain answer).
 //   3. Under 2x sustained overload the server DEGRADES (shorter horizon,
 //      coarser grid) instead of shedding: every request completes.
 //
@@ -138,12 +138,14 @@ TEST(ServerStress, OversubscribedConcurrentRunnersAreBitwiseStable) {
     spec.overlap = "split";
     const ScenarioSpec canon = canonicalize(spec);
 
-    // Serial lockstep baseline (no TaskLayer concurrency at all).
-    ScenarioSpec lockstep_spec = canon;
-    lockstep_spec.overlap = "none";
-    const ForecastResult lockstep =
-        run_forecast(canonicalize(lockstep_spec), nullptr, true);
-    ASSERT_TRUE(lockstep.ok()) << lockstep.error;
+    // Single-domain baseline of the same spec (no decomposition, no
+    // TaskLayer concurrency at all).
+    ScenarioSpec single_spec = canon;
+    single_spec.px = 1;
+    single_spec.py = 1;
+    const ForecastResult single =
+        run_forecast(canonicalize(single_spec), nullptr, true);
+    ASSERT_TRUE(single.ok()) << single.error;
 
     constexpr int kRunners = 4;
     for (int rep = 0; rep < 2; ++rep) {
@@ -166,9 +168,9 @@ TEST(ServerStress, OversubscribedConcurrentRunnersAreBitwiseStable) {
             ASSERT_TRUE(res.ok())
                 << "rep " << rep << " runner " << r << ": " << res.error;
             ASSERT_NE(res.state, nullptr);
-            EXPECT_EQ(res.fingerprint, lockstep.fingerprint)
+            EXPECT_EQ(res.fingerprint, single.fingerprint)
                 << "rep " << rep << " runner " << r;
-            expect_bitwise(*lockstep.state, *res.state);
+            expect_bitwise(*single.state, *res.state);
         }
     }
 }

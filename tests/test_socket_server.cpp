@@ -128,6 +128,23 @@ TEST(SocketServer, MalformedFramesLeaveTheQueueUntouched) {
     EXPECT_TRUE(res.ok) << res.error.detail;
 }
 
+TEST(SocketServer, UndersizedDecompositionIsABadRequest) {
+    // 8x8 on 2x2 leaves 4x4 cells per rank, below the split modes'
+    // 2*halo minimum: a client error, answered before it is queued.
+    SocketServer server(loopback_config());
+    ForecastClient client("127.0.0.1", server.port());
+    ScenarioSpec spec = small_spec();
+    spec.nx = 8;
+    spec.ny = 8;
+    spec.px = 2;
+    spec.py = 2;
+    spec.overlap = "split";
+    const wire::ForecastResponseV1 res = client.forecast(envelope(spec, 7));
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.error.code, ErrorCode::bad_request) << res.error.detail;
+    EXPECT_EQ(server.core().stats().submitted, 0u);
+}
+
 TEST(SocketServer, OversizedFrameGetsOneTypedReply) {
     SocketServerConfig cfg = loopback_config();
     cfg.max_frame_bytes = 512;

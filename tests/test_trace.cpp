@@ -2,8 +2,8 @@
 // (concurrent emission, wraparound, disabled-mode zero effect), the
 // Chrome trace-event export, and — the property the whole subsystem
 // hangs on — that turning tracing and metrics ON changes nothing about
-// the numerics: every overlap mode stays bitwise identical to the
-// lockstep reference with spans and hooks firing throughout.
+// the numerics: every overlap mode stays bitwise identical to its
+// untraced run with spans and hooks firing throughout.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -285,8 +285,8 @@ TEST_P(TraceBitwise, TracingOnIsBitwiseIdenticalToTracingOff) {
         EXPECT_EQ(max_abs_diff(ref.tracers[n], got.tracers[n]), 0.0);
     }
 
-    // The traced run must actually have traced: rank-worker spans in the
-    // concurrent modes, stepper-phase spans in lockstep.
+    // The traced run must actually have traced: rank-worker, stepper-phase
+    // and halo spans.
     bool saw_phase = false;
     for (const auto& e : TraceRecorder::global().events()) {
         if (std::string(e.cat) == "phase" || std::string(e.cat) == "halo") {
