@@ -694,14 +694,12 @@ class MultiDomainRunner {
         exchanger_->recv_y(r, ac.dp_half());
         ac.phase_momentum_y_rows(slow, dtau, 0, 1);
 
-        // du/dv halos feed the one-ring bottom kinematic condition.
+        // du/dv halos feed the one-ring bottom kinematic condition. The
+        // implicit phase reads only its own columns, so dw, drho, dth and
+        // dp are not exchanged (see AcousticStepper::substep).
         pipelined_exchange(r, {&ac.du(), &ac.dv()});
         ac.phase_bottom_kinematic();
         ac.phase_vertical_implicit(slow, dtau);
-
-        // Deviation halos for the next substep / finalize (the paper's
-        // per-short-step exchanges of momentum, density and theta).
-        pipelined_exchange(r, {&ac.dw(), &ac.drho(), &ac.dth(), &ac.dp()});
     }
 
     // ------------------------------------------------------------------

@@ -54,7 +54,8 @@ struct AcousticConfig {
     /// Column-batch width of the vertical implicit solve (the CPU analogue
     /// of the paper's kij->xzy layout change, Sec. IV-A-1): W columns are
     /// swept simultaneously with the column index innermost and
-    /// unit-stride, so the Thomas recurrences auto-vectorize.
+    /// unit-stride (a SIMD-ready shape; see field/simd.hpp for what the
+    /// default flags actually vectorize).
     ///   0   — auto: ASUCA_COLUMN_BATCH env override, else the SIMD
     ///         default (field/simd.hpp);
     ///   1   — the original scalar one-column-at-a-time sweep;
@@ -179,9 +180,14 @@ class AcousticStepper {
     /// `fill_halos(HaloFields)` refreshes the lateral halos of a group of
     /// deviations between phases: the lateral BC on a single domain, a
     /// real neighbor exchange on a decomposed one (the paper's
-    /// per-short-step MPI exchanges of momentum and potential
-    /// temperature, Sec. V-A). Three fills per substep: dp_half; du, dv;
-    /// then dw, drho, dth, dp.
+    /// per-short-step MPI exchanges, Sec. V-A). Two fills per substep,
+    /// each for the one kernel that reads across a lateral edge: dp_half
+    /// for the horizontal pressure gradient, then du, dv for the bottom
+    /// kinematic condition. dw, drho, dth and dp need none: the theta
+    /// half step, the Helmholtz sweep and the rho/theta/p updates read
+    /// only their own column, and the halo cells finalize() copies into
+    /// the state are overwritten by the state's next lateral fill before
+    /// anything reads them.
     template <class FillHalos>
     void substep(const Tendencies<T>& slow, double dtau,
                  FillHalos&& fill_halos) {
@@ -191,15 +197,18 @@ class AcousticStepper {
         fill_halos(HaloFields{&du_, &dv_});
         phase_bottom_kinematic();
         phase_vertical_implicit(slow, dtau);
-        fill_halos(HaloFields{&dw_, &drho_, &dth_, &dp_});
     }
 
     /// Single-domain substep: halos filled by the lateral BC.
     void substep(const Tendencies<T>& slow, double dtau, LateralBc bc) {
         substep(slow, dtau, [&](HaloFields fields) {
-            for (Array3<T>* a : fields) {
-                apply_lateral_bc(*a, bc, grid_.nx(), grid_.ny());
-            }
+            const Index nx = grid_.nx(), ny = grid_.ny();
+            KernelScope scope(
+                "boundary_ops", {/*reads=*/1, /*writes=*/1, 0},
+                static_cast<std::uint64_t>(fields.size()) *
+                    static_cast<std::uint64_t>(2 * (nx + ny) * grid_.nz() *
+                                               grid_.halo()));
+            for (Array3<T>* a : fields) apply_lateral_bc(*a, bc, nx, ny);
         });
     }
 
@@ -298,9 +307,9 @@ class AcousticStepper {
             // Rolling buffers of the vertical deviation flux at the two
             // faces bracketing level k (deviation_fz values, computed once
             // per face instead of twice per cell). The inner i loops are
-            // unit-stride under Layout::XZY and carry no branches, so they
-            // auto-vectorize; per-cell arithmetic is unchanged, hence
-            // bitwise identical to the unbuffered form.
+            // unit-stride under Layout::XZY and carry no branches (GCC 12
+            // at -O2 still does not vectorize them); per-cell arithmetic
+            // is unchanged, hence bitwise identical to the unbuffered form.
             const auto wi = static_cast<std::size_t>(i1 - i0);
             std::vector<T> fz_lo(wi), fz_hi(wi);
             for (Index j = jb; j < je; ++j) {
@@ -456,8 +465,8 @@ class AcousticStepper {
     }
 
     /// Phase 3: build and solve the vertical implicit (Helmholtz) system,
-    /// then update rho', theta', p'. Caller must refresh the halos of all
-    /// deviations afterwards. Dispatches between the original scalar
+    /// then update rho', theta', p' (own cells only; no halo is refreshed
+    /// afterwards, see substep()). Dispatches between the original scalar
     /// one-column-at-a-time sweep (width 1) and the column-batched sweep
     /// (width W columns marched simultaneously); both produce bitwise
     /// identical results on default builds.
@@ -635,8 +644,8 @@ class AcousticStepper {
                           static_cast<std::uint64_t>(nx * ny * nz));
         parallel_for(ny, [&](Index jb, Index je) {
         // Interleaved column-block workspaces: level k of lane l lives at
-        // k*W + l, so every inner lane loop below is unit-stride and
-        // auto-vectorizes. Allocated once per j-slab.
+        // k*W + l, so every inner lane loop below is unit-stride.
+        // Allocated once per j-slab.
         std::vector<T> fzs((n + 1) * W);
         std::vector<T> Dv(n * W), Rv(n * W), Cv(n * W);
         std::vector<T> sub(n * W), dia(n * W), sup(n * W), rhs(n * W),

@@ -8,8 +8,11 @@
 // rigid lid) are enforced inside the dynamics kernels.
 #pragma once
 
+#include <algorithm>
+
 #include "src/common/error.hpp"
 #include "src/field/array3.hpp"
+#include "src/parallel/thread_pool.hpp"
 
 namespace asuca {
 
@@ -24,6 +27,51 @@ inline Index wrap(Index i, Index period) {
     Index r = i % period;
     return r < 0 ? r + period : r;
 }
+
+/// The copy both lateral BCs reduce to, along x: every halo column i in
+/// [-h, 0) and [right_begin, nx + h) takes column src(i) over the whole
+/// padded (j, k) range, row-parallel over j. src is evaluated once per
+/// column and row, never per cell. Sources are interior columns, which no
+/// copy writes, so the result is the same for any thread count or order.
+template <class T, class Src>
+void copy_x_halo_columns(Array3<T>& a, Index right_begin, Src src) {
+    const Index h = a.halo();
+    const Index i_end = a.nx() + h;
+    const Index pz = a.padded_extents().z;
+    const Index sx = a.offset(1, 0, 0) - a.offset(0, 0, 0);
+    const Index sz = a.offset(0, 0, 1) - a.offset(0, 0, 0);
+    parallel_for_range(-h, a.ny() + h, [&](Index jb, Index je) {
+        for (Index j = jb; j < je; ++j) {
+            auto copy_column = [&](Index i) {
+                T* dst = &a(i, j, -h);
+                const T* from = dst + (src(i) - i) * sx;
+                if (sz == 1) {
+                    std::copy_n(from, pz, dst);
+                } else {
+                    for (Index k = 0; k < pz * sz; k += sz) dst[k] = from[k];
+                }
+            };
+            for (Index i = -h; i < 0; ++i) copy_column(i);
+            for (Index i = right_begin; i < i_end; ++i) copy_column(i);
+        }
+    });
+}
+
+/// The y counterpart: every halo plane j in [-h, 0) and
+/// [right_begin, ny + h) takes plane src(j). j is the outermost axis of
+/// both layouts, so a padded xz plane (x halos included) is one
+/// contiguous block, copied whole. Run after the x copy so the corners
+/// follow.
+template <class T, class Src>
+void copy_y_halo_planes(Array3<T>& a, Index right_begin, Src src) {
+    const Index h = a.halo();
+    const Index plane = a.padded_extents().x * a.padded_extents().z;
+    auto copy_plane = [&](Index j) {
+        std::copy_n(&a(-h, src(j), -h), plane, &a(-h, j, -h));
+    };
+    for (Index j = -h; j < 0; ++j) copy_plane(j);
+    for (Index j = right_begin; j < a.ny() + h; ++j) copy_plane(j);
+}
 }  // namespace detail
 
 /// Fill x halos periodically. `period` is the number of unique points along
@@ -31,57 +79,30 @@ inline Index wrap(Index i, Index period) {
 /// aliases face 0, and is also filled here).
 template <class T>
 void fill_periodic_x(Array3<T>& a, Index period) {
-    const Index h = a.halo();
-    for (Index j = -h; j < a.ny() + h; ++j) {
-        for (Index k = -h; k < a.nz() + h; ++k) {
-            for (Index i = -h; i < 0; ++i)
-                a(i, j, k) = a(detail::wrap(i, period), j, k);
-            for (Index i = period; i < a.nx() + h; ++i)
-                a(i, j, k) = a(detail::wrap(i, period), j, k);
-        }
-    }
+    detail::copy_x_halo_columns(
+        a, period, [period](Index i) { return detail::wrap(i, period); });
 }
 
 /// Fill y halos periodically (see fill_periodic_x for the `period` rule).
 template <class T>
 void fill_periodic_y(Array3<T>& a, Index period) {
-    const Index h = a.halo();
-    for (Index j = -h; j < 0; ++j) {
-        for (Index k = -h; k < a.nz() + h; ++k)
-            for (Index i = -h; i < a.nx() + h; ++i)
-                a(i, j, k) = a(i, detail::wrap(j, period), k);
-    }
-    for (Index j = period; j < a.ny() + h; ++j) {
-        for (Index k = -h; k < a.nz() + h; ++k)
-            for (Index i = -h; i < a.nx() + h; ++i)
-                a(i, j, k) = a(i, detail::wrap(j, period), k);
-    }
+    detail::copy_y_halo_planes(
+        a, period, [period](Index j) { return detail::wrap(j, period); });
 }
 
 /// Zero-gradient (outflow) halo fill along x.
 template <class T>
 void fill_zero_gradient_x(Array3<T>& a) {
-    const Index h = a.halo();
-    for (Index j = -h; j < a.ny() + h; ++j) {
-        for (Index k = -h; k < a.nz() + h; ++k) {
-            for (Index i = -h; i < 0; ++i) a(i, j, k) = a(0, j, k);
-            for (Index i = a.nx(); i < a.nx() + h; ++i)
-                a(i, j, k) = a(a.nx() - 1, j, k);
-        }
-    }
+    const Index last = a.nx() - 1;
+    detail::copy_x_halo_columns(
+        a, a.nx(), [last](Index i) { return i < 0 ? Index(0) : last; });
 }
 
 template <class T>
 void fill_zero_gradient_y(Array3<T>& a) {
-    const Index h = a.halo();
-    for (Index j = -h; j < 0; ++j)
-        for (Index k = -h; k < a.nz() + h; ++k)
-            for (Index i = -h; i < a.nx() + h; ++i)
-                a(i, j, k) = a(i, 0, k);
-    for (Index j = a.ny(); j < a.ny() + h; ++j)
-        for (Index k = -h; k < a.nz() + h; ++k)
-            for (Index i = -h; i < a.nx() + h; ++i)
-                a(i, j, k) = a(i, a.ny() - 1, k);
+    const Index last = a.ny() - 1;
+    detail::copy_y_halo_planes(
+        a, a.ny(), [last](Index j) { return j < 0 ? Index(0) : last; });
 }
 
 /// Apply the lateral BC to one array. `x_period` / `y_period` are the

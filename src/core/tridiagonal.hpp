@@ -45,7 +45,8 @@ inline void solve_tridiagonal(std::span<const T> lower, std::span<const T> diag,
 /// Fig. 2b kernel marches one thread per column; this is the CPU analogue
 /// with SIMD lanes as the threads). Systems are stored interleaved: the
 /// level-k coefficient of lane l lives at index k*stride + l, so the inner
-/// lane loop is unit-stride and auto-vectorizes. `beta` must have at least
+/// lane loop is unit-stride (not vectorized at the default -O2, see
+/// field/simd.hpp). `beta` must have at least
 /// `stride` elements; `lower`/`diag`/`upper`/`rhs`/`scratch` at least
 /// n*stride. Requires w <= stride.
 ///

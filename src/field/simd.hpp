@@ -4,18 +4,21 @@
 // (kij -> xzy, Sec. IV-A-1) that makes neighboring vertical columns
 // adjacent in memory so a warp can march them in lockstep. The CPU
 // analogue batches W columns per Thomas sweep with the column index
-// innermost and unit-stride, so the compiler's auto-vectorizer turns the
-// per-level recurrences into SIMD lanes. This header centralizes the two
+// innermost and unit-stride, the shape a vectorizing compiler can turn
+// into SIMD lanes. This header centralizes the two
 // runtime decisions that path needs: the hardware's native lane count and
 // the batch width W actually used (config value, ASUCA_COLUMN_BATCH
 // environment override, or the default derived from the lane count).
 //
 // No intrinsics are used anywhere: every batched kernel is written as a
-// plain inner loop over W contiguous lanes, which GCC/Clang vectorize at
-// -O2 without changing per-lane arithmetic (each lane executes exactly
-// the scalar op sequence, so results are bitwise identical to the
-// one-column-at-a-time code on targets without implicit FMA contraction;
-// see the -DASUCA_NATIVE_ARCH note in DESIGN.md).
+// plain inner loop over W contiguous lanes, and each lane executes
+// exactly the scalar op sequence, so results are bitwise identical to the
+// one-column-at-a-time code on targets without implicit FMA contraction
+// (see the -DASUCA_NATIVE_ARCH note in DESIGN.md). These loops do NOT
+// vectorize at the default flags: with GCC 12.2 at -O2 (the very-cheap
+// cost model) -fopt-info-vec reports none of the helmholtz_1d or
+// solve_tridiagonal_batched lane loops vectorized ("no vectype for
+// stmt", "complicated access pattern"). See DESIGN.md section 11.
 #pragma once
 
 #include <cstdlib>

@@ -305,7 +305,6 @@ struct ForecastResult {
     double max_w = 0.0;       ///< max |rho w| — a cheap product diagnostic
     double total_mass = 0.0;
     double latency_ms = 0.0;  ///< execution wall time (queueing excluded)
-    bool deduped = false;     ///< served by attaching to another request
     /// Where the answer came from: "executed" (a worker ran it) or
     /// "durable" (reloaded from the on-disk result cache — a restarted
     /// server answering a repeat query without re-integrating).

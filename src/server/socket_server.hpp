@@ -298,8 +298,12 @@ class SocketServer {
         }
         try {
             ForecastHandle handle = core_->submit(req);
-            const ForecastResult& res = handle.wait();
-            return reply(fd, wire::result_to_response(req.id, res));
+            wire::ForecastResponseV1 resp =
+                wire::result_to_response(req.id, handle.wait());
+            // The result belongs to the shared entry, so whether THIS
+            // submission attached to it is known only to its handle.
+            resp.deduped = handle.attached();
+            return reply(fd, resp);
         } catch (const Error& e) {
             // canonicalize() rejected the spec: semantically invalid.
             return reply(fd, wire::error_response(

@@ -89,6 +89,8 @@ struct ForecastResponseV1 {
     double max_w = 0.0;
     double total_mass = 0.0;
     double latency_ms = 0.0;
+    /// True when this request attached to an already-admitted entry (a
+    /// result-cache hit or an in-flight duplicate) instead of running.
     bool deduped = false;
     std::string served_from = "executed";
 };
@@ -448,7 +450,6 @@ inline ForecastResponseV1 result_to_response(std::uint64_t id,
     r.max_w = res.max_w;
     r.total_mass = res.total_mass;
     r.latency_ms = res.latency_ms;
-    r.deduped = res.deduped;
     r.served_from = res.served_from;
     if (!res.ok()) {
         r.error.code = res.code == ErrorCode::none ? ErrorCode::internal_fault

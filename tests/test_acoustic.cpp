@@ -2,6 +2,10 @@
 // the implicit vertical solve, and hydrostatic adjustment behaviour.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "src/core/acoustic.hpp"
 #include "src/core/diagnostics.hpp"
 #include "src/core/initial.hpp"
@@ -145,6 +149,77 @@ TEST(Acoustic, TerrainKinematicConditionHolds) {
         if (std::abs(zx(i, 3, 0)) > 1e-4) {
             EXPECT_NE(dw(i, 3, 0), 0.0);  // slopes force vertical motion
         }
+    }
+}
+
+/// Set every lateral halo cell (any k) of `a` to NaN.
+void poison_lateral_halos(Array3<double>& a) {
+    const Index h = a.halo();
+    for (Index j = -h; j < a.ny() + h; ++j)
+        for (Index k = -h; k < a.nz() + h; ++k)
+            for (Index i = -h; i < a.nx() + h; ++i)
+                if (i < 0 || i >= a.nx() || j < 0 || j >= a.ny())
+                    a(i, j, k) = std::numeric_limits<double>::quiet_NaN();
+}
+
+bool all_finite(const Array3<double>& a) {
+    for (std::size_t n = 0; n < a.size(); ++n)
+        if (!std::isfinite(a.data()[n])) return false;
+    return true;
+}
+
+bool same_bits(const Array3<double>& a, const Array3<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Acoustic, ImplicitPhaseDeviationHalosAreDead) {
+    // A substep fills the halos of dp_half and du, dv only. No kernel may
+    // read the lateral halos of dw, drho, dth or dp: poisoning them with
+    // NaN after every substep must leave the finalized, BC-filled state
+    // finite and bitwise equal to an unpoisoned stage.
+    using Field = Array3<double> State<double>::*;
+    const Field fields[] = {&State<double>::rho,  &State<double>::rhou,
+                            &State<double>::rhov, &State<double>::rhow,
+                            &State<double>::rhotheta, &State<double>::p};
+    auto run_stage = [&](bool poison, bool& poison_reached_state) {
+        AcousticSetup su(0.6, bell_mountain(400.0, 2000.0, 6000.0, 4000.0));
+        State<double> now = su.state;
+        add_theta_bubble(su.grid, 2.0, 1000.0, 1000.0, 3000.0, 3000.0,
+                         3000.0, 2000.0, now);
+        su.slow.rhou.fill(1.0);
+        su.slow.rhov.fill(-0.5);
+        su.stepper.prepare(su.state);
+        su.stepper.init_deviations(now, su.state);
+        for (int n = 0; n < 8; ++n) {
+            su.stepper.substep(su.slow, 0.5, LateralBc::Periodic);
+            if (poison) {
+                poison_lateral_halos(su.stepper.dw());
+                poison_lateral_halos(su.stepper.drho());
+                poison_lateral_halos(su.stepper.dth());
+                poison_lateral_halos(su.stepper.dp());
+            }
+        }
+        State<double> out = now;
+        su.stepper.finalize(su.state, out);
+        poison_reached_state = false;
+        for (const Field f : fields) {
+            poison_reached_state = poison_reached_state || !all_finite(out.*f);
+            apply_lateral_bc(out.*f, LateralBc::Periodic, su.spec.nx,
+                             su.spec.ny);
+        }
+        return out;
+    };
+    bool clean_reached = false, poison_reached = false;
+    const State<double> clean = run_stage(false, clean_reached);
+    const State<double> poisoned = run_stage(true, poison_reached);
+    EXPECT_FALSE(clean_reached);
+    // finalize() copies the dead halos into the state; only the state's
+    // own lateral fill makes them harmless.
+    EXPECT_TRUE(poison_reached);
+    for (const Field f : fields) {
+        EXPECT_TRUE(all_finite(poisoned.*f));
+        EXPECT_TRUE(same_bits(clean.*f, poisoned.*f));
     }
 }
 

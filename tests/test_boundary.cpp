@@ -1,10 +1,82 @@
 // Tests for the lateral boundary-condition halo fills.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "src/core/boundary.hpp"
 
 namespace asuca {
 namespace {
+
+// The original serial fills, one index wrap per halo cell: the oracle the
+// copy-based fills in boundary.hpp must reproduce bit for bit.
+namespace reference {
+template <class T>
+void fill_periodic_x(Array3<T>& a, Index period) {
+    const Index h = a.halo();
+    for (Index j = -h; j < a.ny() + h; ++j) {
+        for (Index k = -h; k < a.nz() + h; ++k) {
+            for (Index i = -h; i < 0; ++i)
+                a(i, j, k) = a(detail::wrap(i, period), j, k);
+            for (Index i = period; i < a.nx() + h; ++i)
+                a(i, j, k) = a(detail::wrap(i, period), j, k);
+        }
+    }
+}
+
+template <class T>
+void fill_periodic_y(Array3<T>& a, Index period) {
+    const Index h = a.halo();
+    for (Index j = -h; j < 0; ++j) {
+        for (Index k = -h; k < a.nz() + h; ++k)
+            for (Index i = -h; i < a.nx() + h; ++i)
+                a(i, j, k) = a(i, detail::wrap(j, period), k);
+    }
+    for (Index j = period; j < a.ny() + h; ++j) {
+        for (Index k = -h; k < a.nz() + h; ++k)
+            for (Index i = -h; i < a.nx() + h; ++i)
+                a(i, j, k) = a(i, detail::wrap(j, period), k);
+    }
+}
+
+template <class T>
+void fill_zero_gradient_x(Array3<T>& a) {
+    const Index h = a.halo();
+    for (Index j = -h; j < a.ny() + h; ++j) {
+        for (Index k = -h; k < a.nz() + h; ++k) {
+            for (Index i = -h; i < 0; ++i) a(i, j, k) = a(0, j, k);
+            for (Index i = a.nx(); i < a.nx() + h; ++i)
+                a(i, j, k) = a(a.nx() - 1, j, k);
+        }
+    }
+}
+
+template <class T>
+void fill_zero_gradient_y(Array3<T>& a) {
+    const Index h = a.halo();
+    for (Index j = -h; j < 0; ++j)
+        for (Index k = -h; k < a.nz() + h; ++k)
+            for (Index i = -h; i < a.nx() + h; ++i)
+                a(i, j, k) = a(i, 0, k);
+    for (Index j = a.ny(); j < a.ny() + h; ++j)
+        for (Index k = -h; k < a.nz() + h; ++k)
+            for (Index i = -h; i < a.nx() + h; ++i)
+                a(i, j, k) = a(i, a.ny() - 1, k);
+}
+
+template <class T>
+void apply_lateral_bc(Array3<T>& a, LateralBc bc, Index x_period,
+                      Index y_period) {
+    if (bc == LateralBc::Periodic) {
+        reference::fill_periodic_x(a, x_period);
+        reference::fill_periodic_y(a, y_period);
+    } else {
+        reference::fill_zero_gradient_x(a);
+        reference::fill_zero_gradient_y(a);
+    }
+}
+}  // namespace reference
 
 Array3<double> numbered(Int3 ext, Index halo, Layout layout) {
     Array3<double> a(ext, halo, layout, -999.0);
@@ -70,6 +142,48 @@ TEST_P(BoundaryLayouts, ZeroGradientCopiesEdge) {
         // Corners: x fill then y fill leaves the edge value.
         EXPECT_EQ(a(-2, -2, k), a(0, 0, k));
     }
+}
+
+TEST_P(BoundaryLayouts, CopyFillMatchesModuloReferenceBitwise) {
+    struct Shape {
+        const char* what;
+        Int3 ext;
+        Index halo, nx, ny;  // nx, ny: the periods passed to the fill
+    };
+    const Shape shapes[] = {
+        {"centered", {6, 5, 4}, 2, 6, 5},
+        {"x-face", {7, 5, 4}, 2, 6, 5},
+        {"y-face", {6, 6, 4}, 2, 6, 5},
+        {"z-face", {6, 5, 5}, 3, 6, 5},
+        // Periods shorter than the halo: halo cells wrap more than once.
+        {"period<halo centered", {2, 2, 3}, 3, 2, 2},
+        {"period<halo x-face", {3, 2, 3}, 3, 2, 2},
+        {"period<halo y-face", {2, 3, 3}, 3, 2, 2},
+    };
+    for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
+        ThreadPool::set_global_threads(threads);
+        for (const Shape& s : shapes) {
+            for (const LateralBc bc :
+                 {LateralBc::Periodic, LateralBc::ZeroGradient}) {
+                // Distinct values in every cell, halos included, so a
+                // halo cell the fill skips or misroutes shows up.
+                Array3<double> got(s.ext, s.halo, GetParam());
+                for (std::size_t n = 0; n < got.size(); ++n)
+                    got.data()[n] = 0.5 + static_cast<double>(n);
+                Array3<double> want = got;
+                apply_lateral_bc(got, bc, s.nx, s.ny);
+                reference::apply_lateral_bc(want, bc, s.nx, s.ny);
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      got.size() * sizeof(double)),
+                          0)
+                    << s.what << ", "
+                    << (bc == LateralBc::Periodic ? "periodic"
+                                                  : "zero-gradient")
+                    << ", " << threads << " threads";
+            }
+        }
+    }
+    ThreadPool::set_global_threads(0);  // restore the default pool
 }
 
 INSTANTIATE_TEST_SUITE_P(BothLayouts, BoundaryLayouts,

@@ -160,6 +160,40 @@ TEST(MultiDomainOverlap, MatchesSingleDomainBitwise) {
     }
 }
 
+TEST(MultiDomainOverlap, HaloMessagesPerStepAreExact) {
+    // Each field exchange sends one message from every rank to each of
+    // its four neighbors: 16 on 2x2. A dry step exchanges the 6 dynamic
+    // fields 4 times (three stage openings and the final fill) and, per
+    // acoustic substep, dp_half, du and dv. n_short_steps = 6 gives
+    // 2 + 3 + 6 = 11 substeps: 16 * (4 * 6 + 11 * 3) = 912 messages in
+    // every mode. An exchange no kernel needs would raise the count.
+    const auto spec = make_global(flat_terrain());
+    const auto cfg = make_stepper_cfg();
+    ASSERT_EQ(cfg.n_short_steps, 6);
+    Grid<double> grid(spec);
+    State<double> initial(grid, SpeciesSet::dry());
+    init_case(grid, SpeciesSet::dry(), initial);
+
+    struct MetricsOff {
+        ~MetricsOff() { obs::MetricsRegistry::global().disable(); }
+    } metrics_off;
+    auto& messages = obs::MetricsRegistry::global().counter("halo.messages");
+    for (const OverlapMode mode :
+         {OverlapMode::None, OverlapMode::Split, OverlapMode::SplitPipeline}) {
+        MultiDomainConfig md;
+        md.overlap = mode;
+        MultiDomainRunner<double> runner(spec, 2, 2, SpeciesSet::dry(), cfg,
+                                         md);
+        runner.scatter(initial);
+        obs::MetricsRegistry::global().enable();
+        const std::uint64_t before = messages.value();
+        runner.step();
+        const std::uint64_t sent = messages.value() - before;
+        obs::MetricsRegistry::global().disable();
+        EXPECT_EQ(sent, 912u) << mode_name(mode);
+    }
+}
+
 TEST(MultiDomainOverlap, RejectsSubdomainsSmallerThanTheHalo) {
     const auto spec = make_global(flat_terrain());
     // 12 / 6 = 2 rows per rank < halo(3): the channel strips would copy

@@ -89,6 +89,27 @@ TEST(SocketServer, LoopbackForecastIsBitwiseIdenticalToInProcess) {
     EXPECT_EQ(res.error.code, ErrorCode::none);
 }
 
+TEST(SocketServer, RepeatedSpecAnswersDeduped) {
+    // The first answer ran on a worker; the repeat attaches to the cached
+    // entry and must say so over the wire, with the same bits.
+    SocketServer server(loopback_config());
+    ForecastClient client("127.0.0.1", server.port());
+    const wire::ForecastResponseV1 first =
+        client.forecast(envelope(small_spec(), 1));
+    ASSERT_TRUE(first.ok) << first.error.detail;
+    EXPECT_FALSE(first.deduped);
+    EXPECT_EQ(first.served_from, "executed");
+
+    const wire::ForecastResponseV1 repeat =
+        client.forecast(envelope(small_spec(), 2));
+    ASSERT_TRUE(repeat.ok) << repeat.error.detail;
+    EXPECT_TRUE(repeat.deduped);
+    EXPECT_EQ(repeat.id, 2u);
+    EXPECT_EQ(repeat.fingerprint, first.fingerprint);
+    EXPECT_EQ(server.core().stats().dedup_hits, 1u);
+    EXPECT_EQ(server.core().stats().submitted, 1u);
+}
+
 TEST(SocketServer, MalformedFramesLeaveTheQueueUntouched) {
     SocketServer server(loopback_config());
     ForecastClient client("127.0.0.1", server.port());
