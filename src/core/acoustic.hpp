@@ -202,13 +202,9 @@ class AcousticStepper {
     /// Single-domain substep: halos filled by the lateral BC.
     void substep(const Tendencies<T>& slow, double dtau, LateralBc bc) {
         substep(slow, dtau, [&](HaloFields fields) {
-            const Index nx = grid_.nx(), ny = grid_.ny();
-            KernelScope scope(
-                "boundary_ops", {/*reads=*/1, /*writes=*/1, 0},
-                static_cast<std::uint64_t>(fields.size()) *
-                    static_cast<std::uint64_t>(2 * (nx + ny) * grid_.nz() *
-                                               grid_.halo()));
-            for (Array3<T>* a : fields) apply_lateral_bc(*a, bc, nx, ny);
+            const auto scope = boundary_ops_scope(grid_, fields.size());
+            for (Array3<T>* a : fields)
+                apply_lateral_bc(*a, bc, grid_.nx(), grid_.ny());
         });
     }
 

@@ -274,9 +274,7 @@ class TimeStepper {
     /// Fill lateral halos of all prognostic fields and the pressure.
     void apply_state_bcs(State<T>& s) const {
         const Index nx = grid_.nx(), ny = grid_.ny();
-        KernelScope scope("boundary_ops", {/*reads=*/1, /*writes=*/1, 0},
-                          static_cast<std::uint64_t>(
-                              2 * (nx + ny) * grid_.nz() * grid_.halo()));
+        const auto scope = boundary_ops_scope(grid_, 6 + s.tracers.size());
         apply_lateral_bc(s.rho, cfg_.bc, nx, ny);
         apply_lateral_bc(s.rhou, cfg_.bc, nx, ny);
         apply_lateral_bc(s.rhov, cfg_.bc, nx, ny);
