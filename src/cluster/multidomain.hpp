@@ -17,8 +17,9 @@
 //     BC. The control for the overlap methods below.
 //   * OverlapMode::Split — halo-consuming kernels split into
 //     boundary-strip and interior launches so the strips are posted
-//     while the interior computes (the paper's Sec. V-A method 2), and
-//     the acoustic density/theta updates run logically fused (method 3).
+//     while the interior computes (the paper's Sec. V-A method 2).
+//     Method 3, the fused density/theta update, is built into the
+//     acoustic implicit sweep in every mode.
 //   * OverlapMode::SplitPipeline — adds method 1 (inter-variable
 //     pipelining: the stage-opening exchange overlaps the slow
 //     tendencies, tracer y-halo receives interleave with the per-tracer
@@ -65,7 +66,7 @@ namespace asuca::cluster {
 /// How the concurrent executor hides halo exchanges behind compute.
 enum class OverlapMode {
     None,          ///< rank-concurrent, unsplit kernels (the control)
-    Split,         ///< + kernel division (method 2) + fusion (method 3)
+    Split,         ///< + kernel division (method 2)
     SplitPipeline  ///< + inter-variable tracer pipelining (method 1)
 };
 
@@ -156,19 +157,11 @@ class MultiDomainRunner {
                       "overlap mode needs local extents >= "
                           << need << " (halo " << global.halo << "), got "
                           << nxl_ << "x" << nyl_);
-        // Both split modes enable the paper's method-3 fusion inside
-        // the acoustic implicit phase (bitwise identical either way):
-        // fusion is a property of the rewritten acoustic step, not of
-        // the inter-variable pipelining that SplitPipeline adds on top.
-        TimeStepperConfig rank_cfg = cfg_;
-        if (mdcfg_.overlap != OverlapMode::None) {
-            rank_cfg.acoustic.fuse_density_theta = true;
-        }
         ranks_.reserve(static_cast<std::size_t>(px * py));
         for (Index ry = 0; ry < py; ++ry) {
             for (Index rx = 0; rx < px; ++rx) {
                 ranks_.push_back(std::make_unique<Rank>(
-                    make_local_spec(rx, ry), species_, rank_cfg));
+                    make_local_spec(rx, ry), species_, cfg_));
             }
         }
         tasks_ = std::make_unique<TaskLayer>(

@@ -43,13 +43,11 @@ namespace asuca {
 
 struct AcousticConfig {
     double beta = 0.6;  ///< implicit off-centering (0.5..1)
-    /// Fuse the density (continuity) and potential-temperature update
-    /// kernels of the implicit phase into one streaming pass — the
-    /// paper's Sec. V-A method 3 "logical fusion", which on the GPU hides
-    /// the density exchange (too short to hide alone) behind the theta
-    /// compute window. Per-cell arithmetic is unchanged, so results are
-    /// bitwise identical either way (asserted by the overlap tests); the
-    /// fused pass reads the shared dw/dv3 operands once.
+    /// Has no effect. The paper's Sec. V-A method 3 "logical fusion" of
+    /// the density and potential-temperature updates is how the implicit
+    /// sweep is built on every driver: each column's rho', theta' and p'
+    /// are finished inside the sweep. Kept only because
+    /// perfbench/src/integrate.cpp:339 still assigns it.
     bool fuse_density_theta = false;
     /// Column-batch width of the vertical implicit solve (the CPU analogue
     /// of the paper's kij->xzy layout change, Sec. IV-A-1): W columns are
@@ -58,12 +56,36 @@ struct AcousticConfig {
     /// default flags actually vectorize).
     ///   0   — auto: ASUCA_COLUMN_BATCH env override, else the SIMD
     ///         default (field/simd.hpp);
-    ///   1   — the original scalar one-column-at-a-time sweep;
-    ///   W>1 — batched with exactly W columns per sweep.
+    ///   W>0 — batched with exactly W columns per sweep (1 = one lane).
     /// Every width produces bitwise-identical results on default builds
     /// (each lane runs the scalar op sequence; see DESIGN.md).
     Index column_batch = 0;
 };
+
+/// The paper's three post-solve update kernels (Fig. 1 "Equation of
+/// continuity", "Update potential temperature", "Update pressure") for one
+/// cell, with each kernel's traits. The implicit sweep finishes its
+/// columns with them inside `helmholtz_1d`; `calibrate_flops` counts each
+/// once to split them back out for the GPU model, which launches them as
+/// separate kernels. w_lo/w_hi: new W' at the cell's lower/upper face.
+namespace implicit_update {
+inline constexpr KernelTraits continuity_traits{/*reads=*/3, /*writes=*/1, 2};
+inline constexpr KernelTraits theta_traits{/*reads=*/4, /*writes=*/1, 4};
+inline constexpr KernelTraits pressure_traits{/*reads=*/2, /*writes=*/1, 0};
+
+template <class T>
+T continuity(T rv, T dv, T w_lo, T w_hi) {
+    return rv - dv * (w_hi - w_lo);
+}
+template <class T>
+T theta(T cv, T dv, T thf_lo, T thf_hi, T w_lo, T w_hi) {
+    return cv - dv * (thf_hi * w_hi - thf_lo * w_lo);
+}
+template <class T>
+T pressure(T cpt, T dth) {
+    return cpt * dth;
+}
+}  // namespace implicit_update
 
 template <class T>
 class AcousticStepper {
@@ -91,9 +113,6 @@ class AcousticStepper {
                   grid.layout()),
           tend_v_({grid.nx(), grid.ny() + 1, grid.nz()}, grid.halo(),
                   grid.layout()),
-          cv3_(center_shape(grid), grid.halo(), grid.layout()),
-          rv3_(center_shape(grid), grid.halo(), grid.layout()),
-          dv3_(center_shape(grid), grid.halo(), grid.layout()),
           batch_w_(resolve_column_batch<T>(config.column_batch)) {
         ASUCA_REQUIRE(config.beta >= 0.5 && config.beta <= 1.0,
                       "acoustic beta must be in [0.5, 1], got "
@@ -301,8 +320,9 @@ class AcousticStepper {
                                   (i1 - i0) * (j1 - j0) * nz));
             parallel_for_range(j0, j1, [&](Index jb, Index je) {
             // Rolling buffers of the vertical deviation flux at the two
-            // faces bracketing level k (deviation_fz values, computed once
-            // per face instead of twice per cell). The inner i loops are
+            // faces bracketing level k ((J rho u3)' with the current
+            // deviations, zero at the bottom/top faces; computed once per
+            // face instead of twice per cell). The inner i loops are
             // unit-stride under Layout::XZY and carry no branches (GCC 12
             // at -O2 still does not vectorize them); per-cell arithmetic
             // is unchanged, hence bitwise identical to the unbuffered form.
@@ -432,20 +452,6 @@ class AcousticStepper {
         });
     }
 
-    /// Deviation contravariant flux (J * rho * u3)' at z-face k, using the
-    /// *current* deviations; zero at the bottom/top faces.
-    T deviation_fz(Index i, Index j, Index k) const {
-        const Index nz = grid_.nz();
-        if (k <= 0 || k >= nz) return T(0);
-        const auto& zx = grid_.slope_x_zface();
-        const auto& zy = grid_.slope_y_zface();
-        const T ru = T(0.25) * (du_(i, j, k - 1) + du_(i + 1, j, k - 1) +
-                                du_(i, j, k) + du_(i + 1, j, k));
-        const T rv = T(0.25) * (dv_(i, j, k - 1) + dv_(i, j + 1, k - 1) +
-                                dv_(i, j, k) + dv_(i, j + 1, k));
-        return dw_(i, j, k) - ru * zx(i, j, k) - rv * zy(i, j, k);
-    }
-
     /// Metric part only: (rho u zx + rho v zy)' at z-face k (new du, dv).
     T deviation_metric(Index i, Index j, Index k) const {
         const Index nz = grid_.nz();
@@ -461,22 +467,15 @@ class AcousticStepper {
     }
 
     /// Phase 3: build and solve the vertical implicit (Helmholtz) system,
-    /// then update rho', theta', p' (own cells only; no halo is refreshed
-    /// afterwards, see substep()). Dispatches between the original scalar
-    /// one-column-at-a-time sweep (width 1) and the column-batched sweep
-    /// (width W columns marched simultaneously); both produce bitwise
-    /// identical results on default builds.
+    /// then update rho', theta', p' from it, one column batch at a time
+    /// (own cells only; no halo is refreshed afterwards, see substep()).
     void phase_vertical_implicit(const Tendencies<T>& slow, double dtau) {
-        if (batch_w_ == 1) {
-            phase_vertical_implicit_scalar(slow, dtau);
-        } else {
-            phase_vertical_implicit_batched(slow, dtau, batch_w_);
-        }
-        update_after_implicit();
+        phase_vertical_implicit_batched(slow, dtau, batch_w_);
     }
 
-    /// The original one-column-at-a-time Helmholtz sweep (kept as the
-    /// reference implementation the batched path is tested against).
+    /// The original one-column-at-a-time Helmholtz sweep. No production
+    /// caller: it is the reference implementation the batched sweep is
+    /// tested against.
     void phase_vertical_implicit_scalar(const Tendencies<T>& slow,
                                         double dtau) {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
@@ -596,14 +595,19 @@ class AcousticStepper {
                 }
                 dw_(i, j, nz) = T(0);
 
-                // Stash the explicit parts for the separate update kernels
-                // below (the paper's Fig. 1 "Equation of continuity" /
-                // "Update potential temperature" / "Update pressure").
+                // Finish the column (the paper's Fig. 1 continuity, theta
+                // and pressure updates) with the new W' at its faces.
                 for (Index k = 0; k < nz; ++k) {
                     const auto ku = static_cast<std::size_t>(k);
-                    cv3_(i, j, k) = Cv[ku];
-                    rv3_(i, j, k) = Rv[ku];
-                    dv3_(i, j, k) = Dv[ku];
+                    const T w_lo = (k == 0) ? T(0) : rhs[ku - 1];
+                    const T w_hi = (k == nz - 1) ? T(0) : rhs[ku];
+                    drho_(i, j, k) = implicit_update::continuity(
+                        Rv[ku], Dv[ku], w_lo, w_hi);
+                    const T dth = implicit_update::theta(
+                        Cv[ku], Dv[ku], thfz[ku], thfz[ku + 1], w_lo, w_hi);
+                    dth_(i, j, k) = dth;
+                    dp_(i, j, k) =
+                        implicit_update::pressure(cpt_(i, j, k), dth);
                 }
             }
         }
@@ -614,8 +618,10 @@ class AcousticStepper {
     /// Column-batched Helmholtz sweep: march `width` columns of one j-row
     /// simultaneously over interleaved column-block workspaces (lane index
     /// innermost and unit-stride, the CPU analogue of the paper's xzy
-    /// storage order, Sec. IV-A-1). Public with an explicit width so tests
-    /// can pin any W — including W=1 — against the scalar sweep.
+    /// storage order, Sec. IV-A-1), and finish each block's rho', theta'
+    /// and p' while its Rv/Cv/Dv and new W' are still in the per-thread
+    /// workspace. Public with an explicit width so tests can pin any W
+    /// against the scalar sweep.
     void phase_vertical_implicit_batched(const Tendencies<T>& slow,
                                          double dtau, Index width) {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
@@ -774,15 +780,24 @@ class AcousticStepper {
                     }
                 }
                 for (Index l = 0; l < iw; ++l) dw_(ib + l, j, nz) = T(0);
-                // Stash the explicit parts for the update kernels.
+                // Finish the columns (the paper's Fig. 1 continuity, theta
+                // and pressure updates) with the new W' at their faces;
+                // system row k-1 holds face k.
                 for (Index k = 0; k < nz; ++k) {
                     const std::size_t row = static_cast<std::size_t>(k) * W;
                     for (Index l = 0; l < iw; ++l) {
                         const Index i = ib + l;
                         const auto lu = static_cast<std::size_t>(l);
-                        cv3_(i, j, k) = Cv[row + lu];
-                        rv3_(i, j, k) = Rv[row + lu];
-                        dv3_(i, j, k) = Dv[row + lu];
+                        const T w_lo = (k == 0) ? T(0) : rhs[row - W + lu];
+                        const T w_hi = (k == nz - 1) ? T(0) : rhs[row + lu];
+                        drho_(i, j, k) = implicit_update::continuity(
+                            Rv[row + lu], Dv[row + lu], w_lo, w_hi);
+                        const T dth = implicit_update::theta(
+                            Cv[row + lu], Dv[row + lu], thf_z_(i, j, k),
+                            thf_z_(i, j, k + 1), w_lo, w_hi);
+                        dth_(i, j, k) = dth;
+                        dp_(i, j, k) =
+                        implicit_update::pressure(cpt_(i, j, k), dth);
                     }
                 }
             }
@@ -791,82 +806,6 @@ class AcousticStepper {
     }
 
   private:
-    /// Final rho', theta', p' updates with the beta-averaged new W'
-    /// (shared by the scalar and batched sweeps). The fused
-    /// variant (paper Sec. V-A method 3 "logical fusion") performs all
-    /// three updates in one streaming pass so the shared dw/dv3 operands
-    /// are read once and the density update rides in the theta kernel's
-    /// window; per-cell arithmetic is unchanged, so both variants are
-    /// bitwise identical (asserted by tests/test_multidomain_overlap).
-    void update_after_implicit() {
-        const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-        if (cfg_.fuse_density_theta) {
-            KernelScope scope("density_theta_fused",
-                              {/*reads=*/6, /*writes=*/3, 6},
-                              static_cast<std::uint64_t>(nx * ny * nz));
-            parallel_for(ny, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                for (Index k = 0; k < nz; ++k)
-                    for (Index i = 0; i < nx; ++i) {
-                        const T w_lo = (k == 0) ? T(0) : dw_(i, j, k);
-                        const T w_hi =
-                            (k == nz - 1) ? T(0) : dw_(i, j, k + 1);
-                        drho_(i, j, k) =
-                            rv3_(i, j, k) - dv3_(i, j, k) * (w_hi - w_lo);
-                        dth_(i, j, k) =
-                            cv3_(i, j, k) -
-                            dv3_(i, j, k) * (thf_z_(i, j, k + 1) * w_hi -
-                                             thf_z_(i, j, k) * w_lo);
-                        dp_(i, j, k) = cpt_(i, j, k) * dth_(i, j, k);
-                    }
-            });
-            return;
-        }
-        {
-            KernelScope scope("continuity_update",
-                              {/*reads=*/3, /*writes=*/1, 2},
-                              static_cast<std::uint64_t>(nx * ny * nz));
-            parallel_for(ny, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                for (Index k = 0; k < nz; ++k)
-                    for (Index i = 0; i < nx; ++i) {
-                        const T w_lo = (k == 0) ? T(0) : dw_(i, j, k);
-                        const T w_hi =
-                            (k == nz - 1) ? T(0) : dw_(i, j, k + 1);
-                        drho_(i, j, k) =
-                            rv3_(i, j, k) - dv3_(i, j, k) * (w_hi - w_lo);
-                    }
-            });
-        }
-        {
-            KernelScope scope("theta_update", {/*reads=*/4, /*writes=*/1, 4},
-                              static_cast<std::uint64_t>(nx * ny * nz));
-            parallel_for(ny, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                for (Index k = 0; k < nz; ++k)
-                    for (Index i = 0; i < nx; ++i) {
-                        const T w_lo = (k == 0) ? T(0) : dw_(i, j, k);
-                        const T w_hi =
-                            (k == nz - 1) ? T(0) : dw_(i, j, k + 1);
-                        dth_(i, j, k) =
-                            cv3_(i, j, k) -
-                            dv3_(i, j, k) * (thf_z_(i, j, k + 1) * w_hi -
-                                             thf_z_(i, j, k) * w_lo);
-                    }
-            });
-        }
-        {
-            KernelScope scope("pressure_update", {/*reads=*/2, /*writes=*/1, 0},
-                              static_cast<std::uint64_t>(nx * ny * nz));
-            parallel_for(ny, [&](Index jb, Index je) {
-                for (Index j = jb; j < je; ++j)
-                    for (Index k = 0; k < nz; ++k)
-                        for (Index i = 0; i < nx; ++i)
-                            dp_(i, j, k) = cpt_(i, j, k) * dth_(i, j, k);
-            });
-        }
-    }
-
     const Grid<T>& grid_;
     AcousticConfig cfg_;
     // Linearization coefficients (frozen per RK stage).
@@ -876,8 +815,7 @@ class AcousticStepper {
     Array3<T> du_, dv_, dw_, drho_, dth_, dp_;
     // Workspace.
     Array3<T> dp_half_, tend_u_, tend_v_;
-    Array3<T> cv3_, rv3_, dv3_;  ///< explicit parts of the implicit update
-    Index batch_w_;  ///< resolved column-batch width (1 = scalar sweep)
+    Index batch_w_;  ///< resolved column-batch width
 };
 
 }  // namespace asuca

@@ -1,12 +1,13 @@
-// The vertical implicit solve dispatches between the legacy scalar
-// column-at-a-time Thomas sweep (column_batch = 1) and the batched
-// W-column sweep (the CPU analogue of the paper's kij->xzy layout change,
-// Sec. IV-A-1). Each batched lane executes exactly the scalar operation
-// sequence, so on default builds (no implicit FMA contraction) every
-// width must be bitwise identical to the scalar path. These tests pin
-// that claim at three levels: the width-resolution rules, the implicit
-// phase in isolation (including W=1 through the batched code path), and
-// the full RK3/HE-VI step with microphysics.
+// The vertical implicit solve marches W columns at once (the CPU analogue
+// of the paper's kij->xzy layout change, Sec. IV-A-1) and finishes each
+// column's rho', theta' and p' inside the sweep; every width, W=1
+// included, runs that batched sweep. Each batched lane executes exactly
+// the operation sequence of the one-column-at-a-time reference sweep
+// (phase_vertical_implicit_scalar), so on default builds (no implicit FMA
+// contraction) every width must be bitwise identical to it. These tests
+// pin that claim at three levels: the width-resolution rules, the
+// implicit phase in isolation against the scalar reference, and the full
+// RK3/HE-VI step with microphysics across widths.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -75,30 +76,34 @@ TEST(ColumnBatch, AutoWidthDefaultsToSimdMultiple) {
 
 // ---------------------------------------------------------------------
 // Implicit phase in isolation: batched sweeps of any width (including the
-// degenerate W=1 run *through the batched code path*) must reproduce the
-// scalar phase bitwise on the same inputs.
+// degenerate W=1) must reproduce the scalar reference sweep bitwise on the
+// same inputs, in W' and in the rho', theta', p' each sweep finishes.
 
 struct PhaseSetup {
     GridSpec spec;
     Grid<double> grid;
-    State<double> state;
+    State<double> bar;    ///< linearization state: hydrostatic flow
+    State<double> state;  ///< the same flow plus a warm bubble
     Tendencies<double> slow;
     AcousticStepper<double> stepper;
 
     explicit PhaseSetup(Index column_batch)
-        : spec(make_spec()), grid(spec), state(grid, SpeciesSet::dry()),
-          slow(grid, SpeciesSet::dry()),
+        : spec(make_spec()), grid(spec), bar(grid, SpeciesSet::dry()),
+          state(grid, SpeciesSet::dry()), slow(grid, SpeciesSet::dry()),
           stepper(grid, make_config(column_batch)) {
-        initialize_hydrostatic(grid,
-                               AtmosphereProfile::constant_n(300.0, 0.01),
-                               5.0, 2.0, state);
+        for (State<double>* s : {&bar, &state}) {
+            initialize_hydrostatic(grid,
+                                   AtmosphereProfile::constant_n(300.0, 0.01),
+                                   5.0, 2.0, *s);
+        }
         add_theta_bubble(grid, 1.5, 6000.0, 3000.0, 5000.0, 3000.0, 3000.0,
                          2000.0, state);
         slow.clear();
-        stepper.prepare(state);
-        stepper.init_deviations(state, state);
-        // A few substeps so the deviations feeding the implicit phase are
+        // The bubble is the initial deviation (rho'); a few substeps
+        // spread it so the deviations feeding the implicit phase are
         // nontrivial in every field.
+        stepper.prepare(bar);
+        stepper.init_deviations(state, bar);
         for (int n = 0; n < 4; ++n) {
             stepper.substep(slow, 1.0, LateralBc::Periodic);
         }
@@ -126,12 +131,21 @@ struct PhaseSetup {
 class ColumnBatchPhase : public ::testing::TestWithParam<Index> {};
 
 TEST_P(ColumnBatchPhase, BatchedImplicitPhaseMatchesScalarBitwise) {
-    PhaseSetup scalar(1);   // both evolve with the scalar dispatcher so
-    PhaseSetup batched(1);  // the state feeding the phase is identical
+    PhaseSetup scalar(1);   // both evolve with width 1 so the state
+    PhaseSetup batched(1);  // feeding the phase is identical
     scalar.stepper.phase_vertical_implicit_scalar(scalar.slow, 1.0);
     batched.stepper.phase_vertical_implicit_batched(batched.slow, 1.0,
                                                     GetParam());
+    // Nothing is compared vacuously: every field the phase writes is live.
+    EXPECT_GT(max_abs(scalar.stepper.dw()), 0.0);
+    EXPECT_GT(max_abs(scalar.stepper.drho()), 0.0);
+    EXPECT_GT(max_abs(scalar.stepper.dth()), 0.0);
+    EXPECT_GT(max_abs(scalar.stepper.dp()), 0.0);
     expect_bitwise_equal(scalar.stepper.dw(), batched.stepper.dw(), "dw");
+    expect_bitwise_equal(scalar.stepper.drho(), batched.stepper.drho(),
+                         "drho");
+    expect_bitwise_equal(scalar.stepper.dth(), batched.stepper.dth(), "dth");
+    expect_bitwise_equal(scalar.stepper.dp(), batched.stepper.dp(), "dp");
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, ColumnBatchPhase,
@@ -139,8 +153,8 @@ INSTANTIATE_TEST_SUITE_P(Widths, ColumnBatchPhase,
 
 // ---------------------------------------------------------------------
 // Full-step equivalence: the mountain-wave + warm-rain configuration must
-// produce bit-identical states for the scalar path, small/odd batched
-// widths, and the resolved auto width.
+// produce bit-identical states for width 1, small/odd batched widths, and
+// the resolved auto width.
 
 std::unique_ptr<AsucaModel<double>> run_full_steps(Index column_batch,
                                                    int steps) {

@@ -2,6 +2,8 @@
 // the reproduction's PAPI substitute.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/instrument/calibration.hpp"
 #include "src/instrument/counting_real.hpp"
 #include "src/instrument/kernel_registry.hpp"
@@ -101,6 +103,56 @@ TEST(Calibration, FlopsPerElementIsMeshIndependent) {
             << k;
         EXPECT_GT(fpe(large, k), 0.0) << k;
     }
+}
+
+TEST(Calibration, UpdateKernelsSplitFromFusedSweep) {
+    // The host sweep finishes rho', theta' and p' inside helmholtz_1d;
+    // the calibration hands the GPU model the paper's three update
+    // kernels as records of their own, taken out of the sweep's count.
+    auto cfg = benchmark_model_config();
+    cfg.stepper.n_short_steps = 2;
+    const auto cal = calibrate_flops(cfg, {12, 10, 8});
+    // The registry still holds the run's raw, fused record.
+    const KernelRecord fused = KernelRegistry::global().find("helmholtz_1d");
+    ASSERT_GT(fused.elements, 0u);
+
+    auto find = [&](const std::string& name) {
+        for (const auto& r : cal.records)
+            if (r.name == name) return r;
+        ADD_FAILURE() << name << " missing from the calibration";
+        return KernelRecord{};
+    };
+    const KernelRecord sweep = find("helmholtz_1d");
+    EXPECT_EQ(sweep.calls, fused.calls);
+    EXPECT_EQ(sweep.elements, fused.elements);
+    std::uint64_t total = sweep.flops;
+    const struct {
+        const char* name;
+        KernelTraits traits;
+        std::uint64_t flops_per_element;
+    } updates[] = {
+        {"continuity_update", {3, 1, 2}, 3},
+        {"theta_update", {4, 1, 4}, 5},
+        {"pressure_update", {2, 1, 0}, 1},
+    };
+    for (const auto& u : updates) {
+        const KernelRecord rec = find(u.name);
+        EXPECT_EQ(rec.calls, sweep.calls) << u.name;
+        EXPECT_EQ(rec.elements, sweep.elements) << u.name;
+        EXPECT_EQ(rec.flops, u.flops_per_element * rec.elements) << u.name;
+        EXPECT_EQ(rec.traits.reads, u.traits.reads) << u.name;
+        EXPECT_EQ(rec.traits.writes, u.traits.writes) << u.name;
+        EXPECT_EQ(rec.traits.stencil_reads, u.traits.stencil_reads) << u.name;
+        total += rec.flops;
+    }
+    EXPECT_EQ(total, fused.flops);
+    // Sorted by name with no duplicates, the registry's order.
+    EXPECT_EQ(std::adjacent_find(cal.records.begin(), cal.records.end(),
+                                 [](const KernelRecord& a,
+                                    const KernelRecord& b) {
+                                     return a.name >= b.name;
+                                 }),
+              cal.records.end());
 }
 
 }  // namespace

@@ -446,7 +446,7 @@ TEST(ResilienceRecovery, HaloCorruptionRollsBackAndReplaysBitwise) {
               std::string::npos);
 }
 
-TEST(ResilienceRecovery, LockstepFieldFaultRecoversBitwise) {
+TEST(ResilienceRecovery, UnsplitFieldFaultRecoversBitwise) {
     // The recovery policy is mode-agnostic: the unsplit runner rolls
     // back and replays exactly like the split ones.
     const auto spec = make_global();
